@@ -91,17 +91,11 @@ def classify_pair(pair: QuadPair, config: RunConfig) -> dict:
     record["abelian"] = verdict.to_json()
     inconclusive = False
     try:
-        record["ab_dimension"] = galois.ab_dimension(
-            pair, config.dim_N, config.factor_budget, config.seed
-        )
+        record["ab_dimension"] = galois.ab_dimension(pair, config.dim_N)
         record["ab_dimension_N"] = config.dim_N
     except DegeneracyError as exc:
         record["ab_dimension"] = None
         record["ab_dimension_note"] = str(exc)
-    except BudgetExceeded as exc:
-        record["ab_dimension"] = None
-        record["ab_dimension_note"] = str(exc)
-        inconclusive = True
     try:
         data = galois.level2_data(pair, config.factor_budget, config.seed)
         record["level2"] = data.group.value
@@ -150,14 +144,27 @@ def _parse_pairs(args) -> List[QuadPair]:
     return [QuadPair.parse(t) for t in texts]
 
 
+def _setting(flag: Optional[int], env: str, fallback: int) -> int:
+    """The flag's value, else the environment variable's, else the fallback."""
+    if flag is not None:
+        return flag
+    raw = os.environ.get(env)
+    if raw is None:
+        return fallback
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{env} must be an integer, got {raw!r}") from None
+
+
 def _config(args) -> RunConfig:
     return RunConfig(
-        orbit_budget=args.orbit_budget,
-        factor_budget=args.factor_budget,
-        prime_bound=args.prime_bound,
-        seed=args.seed,
+        orbit_budget=_setting(args.orbit_budget, "ARBOREAL_ORBIT_BUDGET", RunConfig.orbit_budget),
+        factor_budget=_setting(args.factor_budget, "ARBOREAL_FACTOR_BUDGET", RunConfig.factor_budget),
+        prime_bound=_setting(args.prime_bound, "ARBOREAL_PRIME_BOUND", RunConfig.prime_bound),
+        seed=_setting(args.seed, "ARBOREAL_SEED", RunConfig.seed),
         output=args.format,
-        dim_N=args.dim_n,
+        dim_N=_setting(args.dim_n, "ARBOREAL_DIM_N", RunConfig.dim_N),
     )
 
 
@@ -279,7 +286,7 @@ def _cmd_abdim(args) -> int:
     config = _config(args)
     pair = QuadPair.parse(args.pair)
     try:
-        dim = galois.ab_dimension(pair, args.n, config.factor_budget, config.seed)
+        dim = galois.ab_dimension(pair, args.n)
     except DegeneracyError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         return EXIT_INCONCLUSIVE
@@ -291,7 +298,7 @@ def _cmd_abdim(args) -> int:
             for v in orbit.adjusted
         ]
     except BudgetExceeded:
-        record["classes"] = None  # dimension came from the gcd-free route
+        record["classes"] = None  # only the display factors, not the dimension
     _emit([record], config, ("pair", "dimension"))
     return EXIT_OK
 
@@ -517,17 +524,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="arboreal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def env_default(name: str, fallback: int) -> int:
-        return int(os.environ.get(name, fallback))
-
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--orbit-budget", type=int, default=env_default("ARBOREAL_ORBIT_BUDGET", 24))
-        p.add_argument(
-            "--factor-budget", type=int, default=env_default("ARBOREAL_FACTOR_BUDGET", DEFAULT_BUDGET)
-        )
-        p.add_argument("--prime-bound", type=int, default=env_default("ARBOREAL_PRIME_BOUND", 100))
-        p.add_argument("--seed", type=int, default=env_default("ARBOREAL_SEED", 0))
-        p.add_argument("--dim-n", type=int, default=env_default("ARBOREAL_DIM_N", 12))
+        # numeric defaults come from the environment, read by _config
+        p.add_argument("--orbit-budget", type=int)
+        p.add_argument("--factor-budget", type=int)
+        p.add_argument("--prime-bound", type=int)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--dim-n", type=int)
         p.add_argument("--format", choices=("json", "table"), default="json")
 
     p = sub.add_parser("classify", help="full classification records")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-from .primes import is_probable_prime, smallest_prime_factor
+from .primes import BudgetExceeded, is_probable_prime, smallest_prime_factor
 
 Rational = Union[int, Fraction]
 
@@ -144,8 +144,10 @@ class PCI:
     """The critical orbit is infinite, with a replayable witness.
 
     witness "valuation": c is non-integral at `prime`, so orbit denominators
-    blow up doubly exponentially.  witness "escape": |value| = |c_index|
-    exceeds max(|c|, 2), after which absolute values strictly increase.
+    blow up doubly exponentially; `prime` is None when den(c) has no prime
+    factor within the factoring budget (any of its primes is a witness).
+    witness "escape": |value| = |c_index| exceeds max(|c|, 2), after which
+    absolute values strictly increase.
     """
 
     witness: str
@@ -160,7 +162,11 @@ def is_pcf(pair: QuadPair) -> Union[PCF, PCI]:
     """Total decision procedure for post-critical finiteness over Q."""
     c, _ = pair.normal_form()
     if c.denominator > 1:
-        return PCI("valuation", 1, -c, smallest_prime_factor(c.denominator))
+        try:
+            prime: Optional[int] = smallest_prime_factor(c.denominator)
+        except BudgetExceeded:
+            prime = None
+        return PCI("valuation", 1, -c, prime)
     bound = max(abs(c), 2)
     seen = {Fraction(0): 0}
     z = Fraction(0)

@@ -84,13 +84,11 @@ def contained_in_Mv(pair: QuadPair, v, orbit_budget: int = 24) -> bool:
     return is_perfect_square(prod)
 
 
-def ab_dimension(
-    pair: QuadPair, N: int, budget: int = DEFAULT_BUDGET, seed: int = 0
-) -> int:
+def ab_dimension(pair: QuadPair, N: int) -> int:
     """dim of the span of the first N adjusted-orbit values modulo squares."""
     orbit = adjusted_orbit(pair, N)
     orbit.require_nondegenerate(N)
-    return span_dimension(orbit.adjusted, budget, seed)
+    return span_dimension(orbit.adjusted)
 
 
 # --- exact level-2 group ----------------------------------------------------
@@ -201,6 +199,10 @@ class FrobeniusReport:
 
 
 def _level_poly(pair: QuadPair, level: int) -> List[Fraction]:
+    # A vanishing c_{n,beta} with n <= level gives the level polynomial a
+    # repeated root, so it is square-free modulo no prime and the search for
+    # good primes would never end.
+    adjusted_orbit(pair, level).require_nondegenerate(level)
     c, beta = pair.normal_form()
     coeffs = polys.quad_iterate(c, level)
     coeffs[0] -= beta
@@ -208,7 +210,10 @@ def _level_poly(pair: QuadPair, level: int) -> List[Fraction]:
 
 
 def good_primes(pair: QuadPair, level: int, count: int, start: int = 3) -> List[int]:
-    """First `count` odd primes of good reduction for the level polynomial."""
+    """First `count` odd primes of good reduction for the level polynomial.
+
+    Raises DegeneracyError when an adjusted-orbit value vanishes by `level`.
+    """
     coeffs = _level_poly(pair, level)
     found: List[int] = []
     for p in primes_from(max(3, start)):
@@ -587,14 +592,11 @@ def classify_abelian(
         if orbit.degeneracy_index is None:
             for n in range(2, dim_N + 1):
                 values = list(orbit.adjusted[:n])
-                try:
-                    if span_dimension(values, budget, seed) >= 2:
-                        cert3 = FaithfulNode2DimCert(c1, tuple(values))
-                        return AbelianVerdict(
-                            "nonabelian", None, cert3, "level0-faithful-dimension", None
-                        )
-                except BudgetExceeded:
-                    break
+                if span_dimension(values) >= 2:
+                    cert3 = FaithfulNode2DimCert(c1, tuple(values))
+                    return AbelianVerdict(
+                        "nonabelian", None, cert3, "level0-faithful-dimension", None
+                    )
 
     # 4. level-2 computation over a quadratic field from the backward orbit
     cert4 = _quad_field_search(c, beta, backward_depth, budget, seed)

@@ -3,9 +3,9 @@
 Orbit values double in bit length per iteration step, so unbudgeted
 factorization is a hang.  Every factorization here counts elementary
 operations (trial probes, rho iterations) against an explicit budget and
-raises BudgetExceeded when the bound is hit; callers fall back to gcd-based
-methods.  The large-factor splitter is randomized but seeded, so parallel and
-repeated runs are reproducible.
+raises BudgetExceeded when the bound is hit; callers then leave the factored
+output out or report the result inconclusive.  The large-factor splitter is
+randomized but seeded, so parallel and repeated runs are reproducible.
 """
 
 from __future__ import annotations

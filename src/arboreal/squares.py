@@ -1,10 +1,12 @@
 """Square classes of rationals, coprime bases, and squares in Q(sqrt(d)).
 
 The image of a nonzero rational in Q*/Q*^2 is recorded as a sign together
-with the square-free prime support.  Spans of huge orbit values avoid full
-factorization through a gcd-free (pairwise coprime) basis, and squareness in
-a real or imaginary quadratic field reduces to rational square tests on the
-norm.
+with the square-free prime support.  Span dimensions are decided through a
+gcd-free (pairwise coprime) basis alone, which never factors: distinct basis
+elements are coprime, so their square classes are independent.  Prime
+factorization (square_class, squarefree_part) runs only where the output is
+itself a factorization.  Squareness in a real or imaginary quadratic field
+reduces to rational square tests on the norm.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .f2 import SIGN, F2Vector, base_label, prime_label, rank
-from .primes import DEFAULT_BUDGET, BudgetExceeded, factorize
+from .primes import DEFAULT_BUDGET, factorize
 
 Rational = Union[int, Fraction]
 
@@ -69,8 +71,8 @@ def _as_fraction(q: Rational) -> Fraction:
 def square_class(q: Rational, budget: int = DEFAULT_BUDGET, seed: int = 0) -> SquareClass:
     """Reduce q (nonzero) modulo rational squares.
 
-    Raises BudgetExceeded when factoring numerator*denominator is too costly;
-    callers then fall back to coprime_base.
+    Raises BudgetExceeded when factoring numerator*denominator is too costly.
+    Span dimensions never need this: see span_dimension.
     """
     q = _as_fraction(q)
     if q == 0:
@@ -116,6 +118,25 @@ def all_valuations_even(q: Rational) -> bool:
     return sqrt_exact(abs(q)) is not None
 
 
+def _divide_out(n: int, g: int) -> Tuple[int, int]:
+    """(m, e) with n = g^e * m and g not dividing m, for g > 1.
+
+    Divides by g, g^2, g^4, ... and then back down, so a huge power of g
+    costs O(log e) divisions instead of e.
+    """
+    powers = []
+    while n % g == 0:
+        n //= g
+        powers.append(g)
+        g *= g
+    e = (1 << len(powers)) - 1
+    for i in reversed(range(len(powers))):
+        if n % powers[i] == 0:
+            n //= powers[i]
+            e += 1 << i
+    return n, e
+
+
 def coprime_base(values: Sequence[int]) -> Tuple[List[int], List[F2Vector]]:
     """GCD-free basis of the inputs plus per-value GF(2) exponent vectors.
 
@@ -137,10 +158,11 @@ def coprime_base(values: Sequence[int]) -> Tuple[List[int], List[F2Vector]]:
             for i, b in enumerate(base):
                 g = math.gcd(n, b)
                 if g > 1:
-                    # Splitting (n, b) into (n/g, b/g, g) keeps the generated
-                    # multiplicative group and strictly shrinks the product.
+                    # Replacing (n, b) by g and the parts of n and b free of
+                    # g keeps the generated multiplicative group and divides
+                    # the product by at least g.
                     del base[i]
-                    stack.extend((g, b // g, n // g))
+                    stack.extend((g, _divide_out(b, g)[0], _divide_out(n, g)[0]))
                     break
             else:
                 base.append(n)
@@ -151,10 +173,7 @@ def coprime_base(values: Sequence[int]) -> Tuple[List[int], List[F2Vector]]:
         n = abs(v)
         labels = [SIGN] if v < 0 else []
         for b in base:
-            e = 0
-            while n % b == 0:
-                n //= b
-                e += 1
+            n, e = _divide_out(n, b)
             if e % 2 and not is_square[b]:
                 labels.append(base_label(b))
         if n != 1:
@@ -163,40 +182,30 @@ def coprime_base(values: Sequence[int]) -> Tuple[List[int], List[F2Vector]]:
     return base, vectors
 
 
-# Orbit values double in bit length per step; beyond this size trial division
-# plus rho has no realistic chance and the gcd route is the only sane one.
-_FACTOR_BIT_LIMIT = 512
-
-
 def span_dimension(
     values: Sequence[Rational],
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
-    method: str = "auto",
+    method: str = "coprime",
 ) -> int:
     """dim of the span of the values in Q*/Q*^2.
 
-    method: "factor" forces the prime-factorization route, "coprime" the
-    gcd-free-basis route, "auto" tries factoring when every value is small
-    enough for it to have a chance and falls back to the gcd route on budget
-    exhaustion.  Both routes agree wherever both run.
+    method "coprime" (the default) reads the rank off a gcd-free basis of
+    numerator*denominator of each value and never factors: basis elements
+    are pairwise coprime, so the non-square ones have independent square
+    classes.  method "factor" takes the prime-factorization route instead,
+    spending up to `budget` operations per value (seeded by `seed`) and
+    raising BudgetExceeded when they run out; it is kept as the independent
+    oracle the coprime route is tested against.
     """
     fracs = [_as_fraction(v) for v in values]
     if any(v == 0 for v in fracs):
         raise ValueError("values must be nonzero")
-    if method not in ("auto", "factor", "coprime"):
+    if method == "factor":
+        return rank([square_class(v, budget, seed).to_vector() for v in fracs])
+    if method != "coprime":
         raise ValueError(f"unknown method {method!r}")
-    ints = [v.numerator * v.denominator for v in fracs]
-    attempt_factoring = method == "factor" or (
-        method == "auto" and all(abs(n).bit_length() <= _FACTOR_BIT_LIMIT for n in ints)
-    )
-    if attempt_factoring:
-        try:
-            return rank([square_class(v, budget, seed).to_vector() for v in fracs])
-        except BudgetExceeded:
-            if method == "factor":
-                raise
-    _, vectors = coprime_base(ints)
+    _, vectors = coprime_base([v.numerator * v.denominator for v in fracs])
     return rank(vectors)
 
 

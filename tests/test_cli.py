@@ -1,6 +1,7 @@
 import json
 
 from arboreal.cli import main, rationals_of_height
+from arboreal.primes import primes_from
 
 
 def run(capsys, *argv):
@@ -118,6 +119,19 @@ def test_pcf_command(capsys):
     assert records[1]["verdict"]["kind"] == "pci"
 
 
+def test_pcf_command_valuation_witness_beyond_factoring_budget(capsys):
+    # c = 1/(P*Q) with P, Q the first primes above 10^30: den(c) has no prime
+    # factor within the factoring budget, yet the verdict is still decided
+    primes = primes_from(10**30)
+    p, q = next(primes), next(primes)
+    code, records = run_json(capsys, "pcf", f"1/{p * q}")
+    assert code == 0
+    verdict = records[0]["verdict"]
+    assert verdict["kind"] == "pci"
+    assert verdict["witness"] == "valuation"
+    assert verdict["prime"] is None
+
+
 def test_contain_command(capsys):
     code, records = run_json(capsys, "contain", "-2,0", "{1,2}")
     assert code == 0
@@ -212,3 +226,22 @@ def test_parse_error_exit_code(capsys):
 
 def test_no_pairs_is_input_error(capsys):
     assert main(["classify"]) == 1
+
+
+def test_environment_defaults(monkeypatch, capsys):
+    monkeypatch.setenv("ARBOREAL_DIM_N", "3")
+    code, records = run_json(capsys, "classify", "1,0")
+    assert code == 0
+    assert records[0]["ab_dimension_N"] == 3
+    code, records = run_json(capsys, "classify", "1,0", "--dim-n", "4")
+    assert code == 0
+    assert records[0]["ab_dimension_N"] == 4
+
+
+def test_bad_environment_variable_is_input_error(monkeypatch, capsys):
+    monkeypatch.setenv("ARBOREAL_SEED", "abc")
+    assert main(["orbit", "-1,0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("arboreal: input error: ")
+    assert "ARBOREAL_SEED" in captured.err

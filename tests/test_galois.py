@@ -176,6 +176,17 @@ def test_frobenius_needs_good_primes():
         frobenius_sample(QuadPair.from_normal(1, 0), 2, [2])
 
 
+def test_good_primes_degenerate_level_raises():
+    # (x^2 + 1, 5): c_3 = 0, so the level-3 polynomial has a repeated root
+    # and no prime has good reduction
+    pair = QuadPair.from_normal(1, 5)
+    with pytest.raises(DegeneracyError):
+        good_primes(pair, 3, 5)
+    with pytest.raises(DegeneracyError):
+        frobenius_sample(pair, 3, [3, 5, 7])
+    assert len(good_primes(pair, 2, 5)) == 5
+
+
 def test_level2_agrees_with_frobenius():
     for pair in nondegenerate_pairs(25, 23, span=6):
         group = level2_galois(pair)

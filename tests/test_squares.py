@@ -3,8 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
+from arboreal.dynamics import QuadPair, adjusted_orbit
 from arboreal.f2 import SIGN, base_label
 from arboreal.primes import BudgetExceeded, factorize
 from arboreal.squares import (
@@ -86,27 +87,68 @@ def test_coprime_base_rejects_zero():
         coprime_base([6, 0])
 
 
+def check_coprime_base(values):
+    """Base elements are pairwise coprime and > 1, and each value is its
+    vector's signed product of base elements times a rational square."""
+    base, vectors = coprime_base(values)
+    for b1, b2 in zip(base, base[1:]):
+        assert math.gcd(b1, b2) == 1
+    for i, b in enumerate(base):
+        assert b > 1
+        for other in base[i + 1 :]:
+            assert math.gcd(b, other) == 1
+    for value, vec in zip(values, vectors):
+        odd_part = 1
+        for lab in vec.sorted_labels():
+            if lab != SIGN:
+                odd_part *= lab.value
+        sign = -1 if SIGN in vec.support else 1
+        ratio = Fraction(value, sign * odd_part)
+        assert ratio > 0 and sqrt_exact(ratio) is not None
+
+
 def test_coprime_base_reconstruction():
     rng = random.Random(7)
     for _ in range(200):
         values = [
             rng.choice([-1, 1]) * rng.randint(1, 50000) for _ in range(rng.randint(1, 8))
         ]
-        base, vectors = coprime_base(values)
-        for b1, b2 in zip(base, base[1:]):
-            assert math.gcd(b1, b2) == 1
-        for i, b in enumerate(base):
-            assert b > 1
-            for other in base[i + 1 :]:
-                assert math.gcd(b, other) == 1
-        for value, vec in zip(values, vectors):
-            odd_part = 1
-            for lab in vec.sorted_labels():
-                if lab != SIGN:
-                    odd_part *= lab.value
-            sign = -1 if SIGN in vec.support else 1
-            ratio = Fraction(value, sign * odd_part)
-            assert ratio > 0 and sqrt_exact(ratio) is not None
+        check_coprime_base(values)
+
+
+# sign * b**(2**k + d) * m: orbit values have denominators den(c)**(2**n)
+prime_power_values = st.builds(
+    lambda sign, b, k, d, m: sign * b ** (2**k + d) * m,
+    st.sampled_from([-1, 1]),
+    st.sampled_from([2, 3, 6, 7, 10, 15, 21]),
+    st.integers(min_value=0, max_value=12),
+    st.sampled_from([-1, 0, 1]),
+    st.integers(min_value=1, max_value=10**6),
+)
+
+
+@given(st.lists(prime_power_values, min_size=1, max_size=5))
+def test_coprime_base_on_large_prime_powers(values):
+    check_coprime_base(values)
+    assert span_dimension(values) == span_dimension(values, method="factor")
+
+
+@given(st.lists(rationals, min_size=1, max_size=7))
+def test_span_dimension_routes_agree_on_rationals(values):
+    assert span_dimension(values) == span_dimension(values, method="factor")
+
+
+heights = st.builds(
+    Fraction, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=9)
+)
+
+
+@given(heights, heights, st.integers(min_value=1, max_value=5))
+def test_span_dimension_routes_agree_on_orbit_prefixes(c, alpha, n):
+    orbit = adjusted_orbit(QuadPair.from_normal(c, alpha), n)
+    assume(orbit.degeneracy_index is None)
+    values = orbit.adjusted
+    assert span_dimension(values) == span_dimension(values, method="factor")
 
 
 def test_span_dimension_examples():
@@ -136,6 +178,11 @@ def test_span_dimension_budget_fallback():
     with pytest.raises(BudgetExceeded):
         span_dimension(values, budget=10, method="factor")
     assert span_dimension(values, budget=10) == 2
+
+
+def test_span_dimension_methods():
+    with pytest.raises(ValueError):
+        span_dimension([2], method="auto")
 
 
 def test_all_valuations_even():
