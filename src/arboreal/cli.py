@@ -2,8 +2,8 @@
 
 Subcommands wrap the library one-to-one and emit deterministic JSON records
 (or aligned tables) with a provenance field naming the rule behind each
-verdict.  Exit codes: 0 success, 1 input error, 2 inconclusive or budget
-exhausted (with partial output).
+verdict.  Exit codes: 0 success, 1 input error, 2 inconclusive (with
+partial output).
 """
 
 from __future__ import annotations
@@ -85,11 +85,8 @@ def classify_pair(pair: QuadPair, config: RunConfig) -> dict:
         pair,
         prime_bound=config.prime_bound,
         dim_N=config.dim_N,
-        budget=config.factor_budget,
-        seed=config.seed,
     )
     record["abelian"] = verdict.to_json()
-    inconclusive = False
     try:
         record["ab_dimension"] = galois.ab_dimension(pair, config.dim_N)
         record["ab_dimension_N"] = config.dim_N
@@ -97,17 +94,13 @@ def classify_pair(pair: QuadPair, config: RunConfig) -> dict:
         record["ab_dimension"] = None
         record["ab_dimension_note"] = str(exc)
     try:
-        data = galois.level2_data(pair, config.factor_budget, config.seed)
+        data = galois.level2_data(pair)
         record["level2"] = data.group.value
         record["level2_case"] = data.case
     except DegeneracyError as exc:
         record["level2"] = None
         record["level2_note"] = str(exc)
-    except BudgetExceeded as exc:
-        record["level2"] = None
-        record["level2_note"] = str(exc)
-        inconclusive = True
-    record["inconclusive"] = inconclusive
+    record["inconclusive"] = False  # kept for the JSON contract: nothing here factors
     record["provenance"] = {
         "pcf": "orbit-iteration-with-escape-and-valuation-bounds",
         "exceptional": EXCEPTIONAL_NOTE,
@@ -189,8 +182,6 @@ def run_survey(c_height: int, alpha_height: int, config: RunConfig) -> dict:
                 pair,
                 prime_bound=config.prime_bound,
                 dim_N=config.dim_N,
-                budget=config.factor_budget,
-                seed=config.seed,
             )
             counts[verdict.status] += 1
             row = {
@@ -215,8 +206,6 @@ def _cmd_classify(args) -> int:
     pairs = _parse_pairs(args)
     records = [classify_pair(p, config) for p in pairs]
     _emit(records, config, ("normal_form.c", "normal_form.beta", "abelian.status"))
-    if any(r["inconclusive"] for r in records):
-        return EXIT_INCONCLUSIVE
     return EXIT_OK
 
 
@@ -307,7 +296,7 @@ def _cmd_group2(args) -> int:
     config = _config(args)
     pair = QuadPair.parse(args.pair)
     try:
-        data = galois.level2_data(pair, config.factor_budget, config.seed)
+        data = galois.level2_data(pair)
     except DegeneracyError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         return EXIT_INCONCLUSIVE
@@ -642,7 +631,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"arboreal: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (BudgetExceeded, CapExceeded, DegeneracyError) as exc:
+    except (CapExceeded, DegeneracyError) as exc:
         print(f"arboreal: inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
 

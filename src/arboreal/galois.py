@@ -25,7 +25,7 @@ from .dynamics import (
     is_exceptional,
     is_pcf,
 )
-from .primes import DEFAULT_BUDGET, BudgetExceeded, primes_from
+from .primes import primes_from
 from .squares import (
     QuadElement,
     is_perfect_square,
@@ -33,7 +33,6 @@ from .squares import (
     quad_independent,
     span_dimension,
     sqrt_exact,
-    squarefree_part,
 )
 
 Rational = Union[int, Fraction]
@@ -94,6 +93,15 @@ def ab_dimension(pair: QuadPair, N: int) -> int:
 # --- exact level-2 group ----------------------------------------------------
 
 
+def _radicand_field(q: Fraction) -> Tuple[int, Fraction]:
+    """(d, m) with q = d * m^2: d = num(q) * den(q) and m = 1/den(q).
+
+    Square-free d is not needed, so nothing is factored; d is a square
+    exactly when q is.
+    """
+    return q.numerator * q.denominator, Fraction(1, q.denominator)
+
+
 @dataclass(frozen=True)
 class Level2Data:
     group: GroupId
@@ -104,7 +112,7 @@ class Level2Data:
     phi_image: FrozenSet[Tuple[int, int]]  # realized (phi_1, phi_2) values
 
 
-def level2_data(pair: QuadPair, budget: int = DEFAULT_BUDGET, seed: int = 0) -> Level2Data:
+def level2_data(pair: QuadPair) -> Level2Data:
     """Galois group of the level-2 splitting field, with its case analysis.
 
     On the normal form (x^2 + c, beta) the level-2 polynomial is the
@@ -117,6 +125,9 @@ def level2_data(pair: QuadPair, budget: int = DEFAULT_BUDGET, seed: int = 0) -> 
       * otherwise d lives in K = Q(sqrt(c_{1,beta})); if d is a square in K
         the quartic splits over K and the group is C2; else the group has
         order 4, V4 when q is a square and C4 when c_{1,beta} * q is.
+
+    K is written Q(sqrt(num * den)) for c_{1,beta} = num/den, which needs no
+    factorization: sqrt(c_{1,beta}) = sqrt(num * den) / den.
     """
     c, beta = pair.normal_form()
     c1 = beta - c
@@ -153,7 +164,7 @@ def level2_data(pair: QuadPair, budget: int = DEFAULT_BUDGET, seed: int = 0) -> 
             group = GroupId.V4
         return Level2Data(group, c1, c2, "rational-halves", details, image((0, phi2)))
 
-    d, m = squarefree_part(c1, budget, seed)
+    d, m = _radicand_field(c1)
     d_plus = QuadElement(-c, m, d)
     witness = is_square_in_quad(d_plus)
     if witness is not None:
@@ -167,8 +178,8 @@ def level2_data(pair: QuadPair, budget: int = DEFAULT_BUDGET, seed: int = 0) -> 
     return Level2Data(GroupId.C4, c1, c2, "biquadratic-C4", {"d": d}, image((1, 1)))
 
 
-def level2_galois(pair: QuadPair, budget: int = DEFAULT_BUDGET, seed: int = 0) -> GroupId:
-    return level2_data(pair, budget, seed).group
+def level2_galois(pair: QuadPair) -> GroupId:
+    return level2_data(pair).group
 
 
 # --- Frobenius sampling oracle ----------------------------------------------
@@ -436,7 +447,7 @@ class FaithfulNode2DimCert:
 
 @dataclass(frozen=True)
 class QuadFieldD8Cert:
-    d: int
+    d: int  # num * den of the radicand: not a square, not always square-free
     chain: Tuple[Fraction, ...]  # rational backward orbit from the basepoint
     radicand: Fraction  # final preimage equation x^2 = radicand, irrational
     e1: Tuple[Fraction, Fraction]  # c_{1,s} as (rational, sqrt-coefficient)
@@ -493,9 +504,7 @@ def replay_certificate(cert: Certificate) -> bool:
     return cert.replay()
 
 
-def _quad_field_search(
-    c: Fraction, beta: Fraction, depth: int, budget: int, seed: int
-) -> Optional[QuadFieldD8Cert]:
+def _quad_field_search(c: Fraction, beta: Fraction, depth: int) -> Optional[QuadFieldD8Cert]:
     """Walk the rational backward orbit of beta; at the first irrational
     preimage sqrt(t - c) test the two shifted orbit values for independence
     modulo squares in Q(sqrt(d)).
@@ -521,10 +530,7 @@ def _quad_field_search(
                         visited.add(child)
                         next_queue.append((child, chain + (child,)))
                 continue
-            try:
-                d, m = squarefree_part(radicand, budget, seed)
-            except BudgetExceeded:
-                continue
+            d, m = _radicand_field(radicand)
             e1 = QuadElement(c1_raw, m, d)
             e2 = QuadElement(c2_raw, -m, d)
             if quad_independent([e1, e2]) == 2:
@@ -542,8 +548,6 @@ def classify_abelian(
     prime_bound: int = 100,
     dim_N: int = 12,
     backward_depth: int = 8,
-    budget: int = DEFAULT_BUDGET,
-    seed: int = 0,
 ) -> AbelianVerdict:
     """Decide whether the dynamical Galois group of the pair is abelian.
 
@@ -554,7 +558,8 @@ def classify_abelian(
     replayable certificate it finds, trying in order: the level-2 D8
     criterion, the local ramification test, the level-0 faithful-node
     dimension argument, and the level-2 computation over a quadratic field
-    reached through the rational backward orbit.
+    reached through the rational backward orbit.  No step factors an integer,
+    so the verdict never depends on a factoring budget.
     """
     c, beta = pair.normal_form()
     if is_exceptional(pair):
@@ -599,7 +604,7 @@ def classify_abelian(
                     )
 
     # 4. level-2 computation over a quadratic field from the backward orbit
-    cert4 = _quad_field_search(c, beta, backward_depth, budget, seed)
+    cert4 = _quad_field_search(c, beta, backward_depth)
     if cert4 is not None:
         return AbelianVerdict("nonabelian", None, cert4, "quadratic-field-level2", None)
 

@@ -4,12 +4,13 @@ Orbit values double in bit length per iteration step, so unbudgeted
 factorization is a hang.  Every factorization here counts elementary
 operations (trial probes, rho iterations) against an explicit budget and
 raises BudgetExceeded when the bound is hit; callers then leave the factored
-output out or report the result inconclusive.  The large-factor splitter is
-randomized but seeded, so parallel and repeated runs are reproducible.
+output out.  The large-factor splitter is randomized but seeded, so parallel
+and repeated runs are reproducible.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from typing import Dict, Iterator, List
@@ -75,6 +76,9 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
+_WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)  # steps between 7, 11, 13, 17, 19, 23, 29, 31, 37, ...
+
+
 class _Budget:
     __slots__ = ("left",)
 
@@ -137,6 +141,29 @@ def _split(n: int, out: Dict[int, int], mult: int, seed: int, budget: _Budget) -
     _split(n // d, out, mult, seed, budget)
 
 
+def _trial_divide(n: int, out: Dict[int, int], meter: _Budget, first: bool = False) -> int:
+    """Move the prime factors p <= TRIAL_LIMIT of n > 0 into out as {p: e}.
+
+    Probes 2, 3, 5 and then the wheel of residues prime to 30, one budget
+    operation each, and returns the cofactor left.  With `first` it returns
+    right after the first prime factor found.
+    """
+    d = 2
+    steps = itertools.chain((1, 2, 2), itertools.cycle(_WHEEL))
+    while d <= TRIAL_LIMIT and d * d <= n:
+        meter.spend()
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out[d] = e
+            if first:
+                break
+        d += next(steps)
+    return n
+
+
 def factorize(n: int, budget: int = DEFAULT_BUDGET, seed: int = 0) -> Dict[int, int]:
     """Prime factorization {p: e} of |n|; n must be nonzero.
 
@@ -145,50 +172,25 @@ def factorize(n: int, budget: int = DEFAULT_BUDGET, seed: int = 0) -> Dict[int, 
     """
     if n == 0:
         raise ValueError("cannot factor 0")
-    n = abs(n)
     meter = _Budget(budget)
     out: Dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            n //= p
-            out[p] = out.get(p, 0) + 1
-    d = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)  # steps between 7,11,13,17,19,23,29,31,37...
-    i = 0
-    while d <= TRIAL_LIMIT and d * d <= n:
-        meter.spend()
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out[d] = out.get(d, 0) + e
-        d += wheel[i]
-        i = (i + 1) % 8
-    if n > 1:
-        if d * d > n:
-            out[n] = out.get(n, 0) + 1
-        else:
-            _split(n, out, 1, seed, meter)
+    _split(_trial_divide(abs(n), out, meter), out, 1, seed, meter)
     return out
 
 
 def smallest_prime_factor(n: int) -> int:
-    """Smallest prime factor of |n| > 1 (cheap trial division first)."""
+    """Smallest prime factor of |n| > 1.
+
+    Trial division up to 10^6 stops at the first factor found; otherwise the
+    cofactor left goes straight to rho, within factorize's default budget
+    (BudgetExceeded when it runs out).
+    """
     n = abs(n)
     if n <= 1:
         raise ValueError("need |n| > 1")
-    for p in (2, 3, 5):
-        if n % p == 0:
-            return p
-    d = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while d * d <= n and d <= TRIAL_LIMIT:
-        if n % d == 0:
-            return d
-        d += wheel[i]
-        i = (i + 1) % 8
-    if is_probable_prime(n):
-        return n
-    return min(factorize(n))
+    meter = _Budget(DEFAULT_BUDGET)
+    out: Dict[int, int] = {}
+    rest = _trial_divide(n, out, meter, first=True)
+    if not out:
+        _split(rest, out, 1, 0, meter)
+    return min(out)

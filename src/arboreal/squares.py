@@ -4,9 +4,9 @@ The image of a nonzero rational in Q*/Q*^2 is recorded as a sign together
 with the square-free prime support.  Span dimensions are decided through a
 gcd-free (pairwise coprime) basis alone, which never factors: distinct basis
 elements are coprime, so their square classes are independent.  Prime
-factorization (square_class, squarefree_part) runs only where the output is
-itself a factorization.  Squareness in a real or imaginary quadratic field
-reduces to rational square tests on the norm.
+factorization (square_class) runs only where the output is itself a
+factorization.  Squareness in a quadratic field Q(sqrt(d)), for any integer d
+that is not a square, reduces to rational square tests on the norm.
 """
 
 from __future__ import annotations
@@ -53,9 +53,6 @@ class SquareClass:
     def __mul__(self, other: "SquareClass") -> "SquareClass":
         support = set(self.primes) ^ set(other.primes)
         return SquareClass(self.sign * other.sign, tuple(sorted(support)))
-
-    def squarefree_value(self) -> int:
-        return self.sign * math.prod(self.primes)
 
     def to_json(self) -> dict:
         return {"sign": self.sign, "primes": list(self.primes)}
@@ -209,20 +206,13 @@ def span_dimension(
     return rank(vectors)
 
 
-def squarefree_part(
-    q: Rational, budget: int = DEFAULT_BUDGET, seed: int = 0
-) -> Tuple[int, Fraction]:
-    """Write q = d * m^2 with d a square-free integer; returns (d, m), m > 0."""
-    cls = square_class(q, budget, seed)
-    d = cls.squarefree_value()
-    m = sqrt_exact(_as_fraction(q) / d)
-    assert m is not None and m > 0
-    return d, m
-
-
 @dataclass(frozen=True)
 class QuadElement:
-    """a + b*sqrt(d) with a, b rational and d a square-free integer != 0, 1."""
+    """a + b*sqrt(d) with a, b rational and d an integer that is not a square.
+
+    d need not be square-free: every test here uses d only through d*b^2, so
+    Q(sqrt(d)) is the same field as Q(sqrt(d')) for d' the square-free part.
+    """
 
     a: Fraction
     b: Fraction
@@ -234,10 +224,8 @@ class QuadElement:
         if self.d != int(self.d):
             raise ValueError(f"d must be an integer: {self.d}")
         object.__setattr__(self, "d", int(self.d))
-        if self.d in (0, 1):
-            raise ValueError("d must differ from 0 and 1")
-        if not _is_squarefree(self.d):
-            raise ValueError(f"d must be square-free: {self.d}")
+        if self.d == 0 or (self.d > 0 and math.isqrt(self.d) ** 2 == self.d):
+            raise ValueError(f"d must not be a square: {self.d}")
 
     @property
     def is_zero(self) -> bool:
@@ -261,16 +249,6 @@ class QuadElement:
 
     def __str__(self) -> str:
         return f"{self.a} + {self.b}*sqrt({self.d})"
-
-
-def _is_squarefree(d: int) -> bool:
-    n = abs(d)
-    if n == 0:
-        return False
-    for p, e in factorize(n).items():
-        if e > 1:
-            return False
-    return True
 
 
 def is_square_in_quad(x: QuadElement) -> Optional[Tuple[Fraction, Fraction]]:

@@ -74,15 +74,40 @@ def test_survey_height_zero_is_the_exceptional_pair(capsys):
 
 
 def test_classify_budget_exhaustion_exit_code(capsys):
-    # c2 is a huge perfect square, so the level-2 case analysis must factor
-    # c1; a tiny budget makes that inconclusive (exit 2, partial record)
+    # c2 is a huge perfect square, so level 2 works over Q(sqrt(c1)); that
+    # field is read off num*den of c1 without factoring, so even a tiny
+    # factoring budget leaves the record complete
     s = 10**9 + 7
     code, records = run_json(capsys, "classify", f"0,-{s * s}", "--factor-budget", "10")
-    assert code == 2
+    assert code == 0
     rec = records[0]
-    assert rec["level2"] is None
-    assert rec["inconclusive"] is True
+    assert rec["level2"] == "V4"
+    assert rec["level2_case"] == "biquadratic-V4"
+    assert rec["inconclusive"] is False
     assert rec["abelian"]["status"] == "nonabelian"
+
+
+def test_abdim_classes_null_when_display_budget_runs_out(capsys):
+    # only the classes display factors; its budget running out leaves the
+    # dimension decided
+    code, records = run_json(capsys, "abdim", "1/3,2", "-N", "5", "--factor-budget", "10")
+    assert code == 0
+    rec = records[0]
+    assert rec["classes"] is None
+    assert rec["dimension"] == 5
+
+
+def test_decisions_never_factor(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the decision core called factorize")
+
+    monkeypatch.setattr("arboreal.primes.factorize", refuse)
+    monkeypatch.setattr("arboreal.squares.factorize", refuse)
+    s = 10**9 + 7
+    for pair in (f"0,-{s * s}", "-8,-8", "1/3,5/7"):
+        assert run(capsys, "classify", pair)[0] == 0
+    assert run(capsys, "group2", f"0,-{s * s}")[0] == 0
+    assert run(capsys, "survey", "--c-height", "3", "--alpha-height", "3")[0] == 0
 
 
 def test_indexset_json_family_file(tmp_path, capsys):

@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from arboreal.cli import rationals_of_height
 from arboreal.dynamics import DegeneracyError, QuadPair
 from arboreal.galois import (
     GroupId,
@@ -298,3 +300,32 @@ def test_fixed_field_prediction_matches_containment():
                 (a * char[0] ^ b * char[1]) == 0 for a, b in data.phi_image
             )
             assert contained_in_Mv(pair, support) == predicted
+
+
+def test_factor_free_quadratic_fields_against_factoring_and_frobenius():
+    # Level 2 and the QuadFieldD8 certificate name Q(sqrt(q)) by d = num*den
+    # of q, unfactored; the factoring route must put d and q in one square
+    # class, and Frobenius sampling must allow the level-2 group
+    grid = rationals_of_height(5)
+    unfactored = []  # level-2 fields whose d is not square-free
+    for c in grid:
+        for beta in grid:
+            pair = QuadPair.from_normal(c, beta)
+            cert = classify_abelian(pair).certificate
+            if cert is not None and cert.kind == "QuadFieldD8":
+                assert replay_certificate(cert)
+                assert square_class(cert.d) == square_class(cert.radicand)
+            try:
+                data = level2_data(pair)
+            except DegeneracyError:
+                continue
+            if "d" in data.details:
+                cls = square_class(data.details["d"])
+                assert cls == square_class(data.c1)
+                if math.prod(cls.primes) != abs(data.details["d"]):
+                    unfactored.append(pair)
+    sample = unfactored[::3]
+    assert len(sample) >= 15
+    for pair in sample:
+        report = frobenius_sample(pair, 2, good_primes(pair, 2, 60))
+        assert level2_galois(pair) in report.compatible

@@ -7,7 +7,7 @@ from hypothesis import assume, given, strategies as st
 
 from arboreal.dynamics import QuadPair, adjusted_orbit
 from arboreal.f2 import SIGN, base_label
-from arboreal.primes import BudgetExceeded, factorize
+from arboreal.primes import BudgetExceeded, factorize, primes_from, smallest_prime_factor
 from arboreal.squares import (
     DegenerateSquareWarning,
     QuadElement,
@@ -20,7 +20,6 @@ from arboreal.squares import (
     span_dimension,
     sqrt_exact,
     square_class,
-    squarefree_part,
 )
 
 rationals = st.builds(
@@ -193,24 +192,23 @@ def test_all_valuations_even():
         all_valuations_even(0)
 
 
-def test_squarefree_part():
-    d, m = squarefree_part(Fraction(8))
-    assert d == 2 and m == 2
-    d, m = squarefree_part(Fraction(-9, 4))
-    assert d == -1 and m == Fraction(3, 2)
-
-
 def test_quad_element_validation():
     with pytest.raises(ValueError):
-        QuadElement(1, 1, 4)  # not square-free
+        QuadElement(1, 1, 4)  # a square
     with pytest.raises(ValueError):
         QuadElement(1, 1, 1)
+    with pytest.raises(ValueError):
+        QuadElement(1, 1, 0)
+    assert QuadElement(1, 1, 8).d == 8  # not square-free, not a square
+    assert QuadElement(1, 1, -4).d == -4
 
 
 def test_is_square_in_quad_examples():
     assert is_square_in_quad(QuadElement(1, 1, 2)) is None  # 1 + sqrt(2)
     assert is_square_in_quad(QuadElement(3, 2, 2)) == (1, 1)  # (1 + sqrt(2))^2
     assert is_square_in_quad(QuadElement(0, -1, 2)) is None  # -sqrt(2)
+    # d need not be square-free: 3 + sqrt(8) = (1 + sqrt(8)/2)^2
+    assert is_square_in_quad(QuadElement(3, 1, 8)) == (1, Fraction(1, 2))
 
 
 def test_is_square_in_quad_rational_cases():
@@ -256,3 +254,11 @@ def test_factorize_smoke():
     assert factorize(2**4 * 3 * 49) == {2: 4, 3: 1, 7: 2}
     n = 1234567891 * 987654323  # two nine-to-ten-digit primes, beyond trial division
     assert factorize(n) == {1234567891: 1, 987654323: 1}
+
+
+def test_smallest_prime_factor_beyond_trial_division():
+    primes = primes_from(10**6 + 1)
+    p, q = next(primes), next(primes)
+    assert smallest_prime_factor(p * q) == p
+    assert smallest_prime_factor(-2 * p * q) == 2
+    assert smallest_prime_factor(p) == p
