@@ -54,10 +54,6 @@ class RunConfig:
     dim_N: int = 12
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q)
-
-
 def _pcf_json(verdict) -> dict:
     if isinstance(verdict, PCF):
         return {"kind": "pcf", "preperiod": verdict.preperiod, "period": verdict.period}
@@ -65,7 +61,7 @@ def _pcf_json(verdict) -> dict:
         "kind": "pci",
         "witness": verdict.witness,
         "index": verdict.index,
-        "value": _frac_str(verdict.value),
+        "value": str(verdict.value),
         "prime": verdict.prime,
     }
 

@@ -16,16 +16,13 @@ from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 from .primes import BudgetExceeded, is_probable_prime, smallest_prime_factor
+from .squares import _frac
 
 Rational = Union[int, Fraction]
 
 
 class DegeneracyError(Exception):
     """The basepoint lies in the post-critical orbit (a vanishing c_{n,alpha})."""
-
-
-def _frac(x: Rational) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def parse_rational(s: str) -> Fraction:

@@ -20,11 +20,13 @@ from .dynamics import (
     DegeneracyError,
     PCI,
     QuadPair,
+    _valuation,
     adjusted_orbit,
     in_post_critical_orbit,
     is_exceptional,
     is_pcf,
 )
+from .indexsets import _support_of
 from .primes import primes_from
 from .squares import (
     QuadElement,
@@ -52,11 +54,6 @@ class GroupId(Enum):
     @property
     def abelian(self) -> bool:
         return self is not GroupId.D8
-
-
-def _support_of(v) -> Tuple[int, ...]:
-    support = getattr(v, "support", v)
-    return tuple(sorted(set(support)))
 
 
 def contained_in_Mv(pair: QuadPair, v, orbit_budget: int = 24) -> bool:
@@ -209,29 +206,32 @@ class FrobeniusReport:
     compatible: Optional[FrozenSet[GroupId]]
 
 
-def _level_poly(pair: QuadPair, level: int) -> List[Fraction]:
+def _nondegenerate_normal_form(pair: QuadPair, level: int) -> Tuple[Fraction, Fraction]:
     # A vanishing c_{n,beta} with n <= level gives the level polynomial a
     # repeated root, so it is square-free modulo no prime and the search for
     # good primes would never end.
     adjusted_orbit(pair, level).require_nondegenerate(level)
-    c, beta = pair.normal_form()
-    coeffs = polys.quad_iterate(c, level)
-    coeffs[0] -= beta
-    return coeffs
+    return pair.normal_form()
+
+
+def _degrees_mod(c: Fraction, beta: Fraction, level: int, p: int) -> Optional[List[int]]:
+    """Factor degrees of f^level(x) - beta modulo p, or None on bad reduction."""
+    g = polys.level_poly(c, beta, level, p)
+    return None if g is None else polys.factor_degrees(g, p)
 
 
 def good_primes(pair: QuadPair, level: int, count: int, start: int = 3) -> List[int]:
     """First `count` odd primes of good reduction for the level polynomial.
 
-    Raises DegeneracyError when an adjusted-orbit value vanishes by `level`.
+    The level polynomial of the normal form (x^2 + c, beta) is f^level(x) -
+    beta.  p is good when it divides no denominator of its coefficients (at
+    level >= 2, p does not divide den(c) * den(beta); at level 1, den(c - beta))
+    and the polynomial is square-free mod p.  Raises DegeneracyError when an adjusted-orbit value vanishes by `level`.
     """
-    coeffs = _level_poly(pair, level)
+    c, beta = _nondegenerate_normal_form(pair, level)
     found: List[int] = []
     for p in primes_from(max(3, start)):
-        reduced = polys.mod_reduce(coeffs, p)
-        if reduced is None or polys.degree(reduced) != polys.degree(coeffs):
-            continue
-        if polys.factor_degrees(reduced, p) is None:
+        if _degrees_mod(c, beta, level, p) is None:
             continue
         found.append(p)
         if len(found) == count:
@@ -247,20 +247,18 @@ def frobenius_sample(pair: QuadPair, level: int, primes: Sequence[int]) -> Frobe
     cycle-type set of some flavor of the true group.  The compatible set
     collects the level-2 groups with a flavor matching exactly; at level 3 no
     group catalogue is attached (sampling evidence only).  Never used as
-    ground truth.
+    ground truth.  The prime 2 and primes of bad reduction (see good_primes)
+    are skipped.
     """
     if level not in (2, 3):
         raise ValueError("sampling supports levels 2 and 3")
-    coeffs = _level_poly(pair, level)
+    c, beta = _nondegenerate_normal_form(pair, level)
     partitions: Dict[Tuple[int, ...], int] = {}
     used: List[int] = []
     for p in primes:
         if p == 2:
             continue
-        reduced = polys.mod_reduce(coeffs, p)
-        if reduced is None or polys.degree(reduced) != polys.degree(coeffs):
-            continue
-        degs = polys.factor_degrees(reduced, p)
+        degs = _degrees_mod(c, beta, level, p)
         if degs is None:
             continue
         key = tuple(degs)
@@ -293,19 +291,6 @@ class PoonenResult:
         return self.condition is not None
 
 
-def _vp(q: Fraction, p: int) -> int:
-    v = 0
-    n = q.numerator
-    while n and n % p == 0:
-        n //= p
-        v += 1
-    d = q.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
-
-
 def poonen_check(c: Rational, alpha: Rational, p: int) -> PoonenResult:
     """Infinite ramification of the local tower at an odd prime p.
 
@@ -317,11 +302,12 @@ def poonen_check(c: Rational, alpha: Rational, p: int) -> PoonenResult:
     c, alpha = Fraction(c), Fraction(alpha)
     if p == 2 or p < 2:
         raise ValueError("the test needs an odd prime")
-    if _vp(c, p) < 0:
+    c_mod = polys.reduce_mod(c, p)
+    if c_mod is None:
         raise ValueError("the test needs v_p(c) >= 0")
-    if _vp(alpha, p) < 0:
-        return PoonenResult("a", p, f"v_{p}(alpha) = {_vp(alpha, p)} < 0")
-    c_mod = c.numerator * pow(c.denominator, -1, p) % p
+    alpha_mod = polys.reduce_mod(alpha, p)
+    if alpha_mod is None:
+        return PoonenResult("a", p, f"v_{p}(alpha) = {_valuation(alpha, p)} < 0")
     orbit_mod = []
     z = 0
     periodic = False
@@ -333,7 +319,6 @@ def poonen_check(c: Rational, alpha: Rational, p: int) -> PoonenResult:
             break
     if not periodic:
         return PoonenResult(None, p, "0 is not periodic modulo p")
-    alpha_mod = alpha.numerator * pow(alpha.denominator, -1, p) % p
     if alpha_mod not in orbit_mod:
         return PoonenResult(None, p, "alpha misses the modular orbit of 0")
     if in_post_critical_orbit(QuadPair.from_normal(c, alpha)):
@@ -358,7 +343,7 @@ def nonabelian_prime_search(
     for p in primes_from(3):
         if p > bound:
             return None
-        if _vp(c, p) < 0:
+        if c.denominator % p == 0:  # v_p(c) < 0
             continue
         for bp in basepoints:
             result = poonen_check(c, bp, p)

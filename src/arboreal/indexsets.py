@@ -20,6 +20,12 @@ from .primes import sieve
 _SMALL = 1024
 
 
+def _support_of(v) -> Tuple[int, ...]:
+    """Sorted support of an IndexVector or of a bare iterable of levels."""
+    support = getattr(v, "support", v)
+    return tuple(sorted(set(support)))
+
+
 class IndexVector:
     """Finite sorted set of positive integers; supports range-backed storage
     so prefix vectors {1..n} stay O(1) in memory."""

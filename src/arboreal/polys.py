@@ -1,127 +1,48 @@
-"""Dense polynomial helpers: exact Q[x] and modular F_p[x].
+"""Dense polynomials over F_p, for the Frobenius cycle-type oracle.
 
-Coefficient lists are ascending (coeffs[i] multiplies x^i).  Only the small
-degrees this project needs (iterates of a quadratic up to level 3) pass
+Coefficient lists are ascending (f[i] multiplies x^i) with entries in
+[0, p).  There is no Q[x] arithmetic: level_poly builds the level polynomial
+of a quadratic pair directly mod p, and rationals enter only through
+reduce_mod.  Only small degrees (iterates of a quadratic up to level 3) pass
 through here, so everything is the plain schoolbook algorithm.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-Poly = List[Fraction]
 ModPoly = List[int]
-
-
-def trim(f: Sequence[Fraction]) -> Poly:
-    f = list(f)
-    while f and f[-1] == 0:
-        f.pop()
-    return f
 
 
 def degree(f: Sequence) -> int:
     return len(f) - 1
 
 
-def mul(f: Sequence[Fraction], g: Sequence[Fraction]) -> Poly:
-    if not f or not g:
-        return []
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return trim(out)
+def reduce_mod(q, p: int) -> Optional[int]:
+    """The rational (or integer) q modulo p, or None when p divides den(q)."""
+    if q.denominator % p == 0:
+        return None
+    return q.numerator * pow(q.denominator, -1, p) % p
 
 
-def add(f: Sequence[Fraction], g: Sequence[Fraction]) -> Poly:
-    n = max(len(f), len(g))
-    return trim([(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)])
+def level_poly(c, beta, level: int, p: int) -> Optional[ModPoly]:
+    """f^level(x) - beta modulo the odd prime p, for f = x^2 + c.
 
-
-def evaluate(f: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(list(f)):
-        acc = acc * x + c
-    return acc
-
-
-def derivative(f: Sequence[Fraction]) -> Poly:
-    return trim([i * c for i, c in enumerate(f)][1:])
-
-
-def divmod_exact(f: Sequence[Fraction], g: Sequence[Fraction]):
-    g = trim(g)
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(f)
-    q = [Fraction(0)] * max(0, len(r) - len(g) + 1)
-    lead = g[-1]
-    while len(r) >= len(g) and trim(r):
-        r = trim(r)
-        if len(r) < len(g):
-            break
-        shift = len(r) - len(g)
-        coeff = r[-1] / lead
-        q[shift] = coeff
-        for i, b in enumerate(g):
-            r[shift + i] -= coeff * b
-        r.pop()
-    return trim(q), trim(r)
-
-
-def gcd(f: Sequence[Fraction], g: Sequence[Fraction]) -> Poly:
-    a, b = trim(f), trim(g)
-    while b:
-        _, r = divmod_exact(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def compose(f: Sequence[Fraction], g: Sequence[Fraction]) -> Poly:
-    """f(g(x)) by Horner."""
-    acc: Poly = []
-    for c in reversed(list(f)):
-        acc = add(mul(acc, g), [Fraction(c)])
-    return acc
-
-
-def quad_iterate(c: Fraction, n: int) -> Poly:
-    """Coefficients of the n-th iterate of x^2 + c (degree 2^n)."""
-    f = [Fraction(c), Fraction(0), Fraction(1)]
-    out = [Fraction(0), Fraction(1)]
-    for _ in range(n):
-        out = compose(f, out)
-    return out
-
-
-def distinct_root_count(f: Sequence[Fraction]) -> int:
-    """Number of distinct roots over an algebraic closure."""
-    f = trim(f)
-    if degree(f) < 1:
-        return 0
-    return degree(f) - degree(gcd(f, derivative(f)))
-
-
-# --- F_p[x] ---------------------------------------------------------------
-
-
-def mod_reduce(f: Sequence[Fraction], p: int) -> Optional[ModPoly]:
-    """Reduce rational coefficients mod p; None when a denominator vanishes."""
-    out = []
-    for c in f:
-        c = Fraction(c)
-        if c.denominator % p == 0:
-            return None
-        out.append(c.numerator * pow(c.denominator, -1, p) % p)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+    Iterates g <- g^2 + c in F_p[x] and adds c - beta instead of c at the
+    last step, so the result is monic of degree 2^level.  Returns None when
+    p divides den(c - beta), or den(c) with level >= 2: these are exactly the
+    primes dividing the denominator of some rational coefficient, since at
+    level n >= 2 the x^(2^n - 2) coefficient is 2^(n-1) c.
+    """
+    last = reduce_mod(c - beta, p)
+    c_mod = reduce_mod(c, p) if level >= 2 else 0
+    if last is None or c_mod is None:
+        return None
+    g = [0, 1]
+    for n in range(level, 0, -1):
+        g = pm_mul(g, g, p)
+        g[0] = (g[0] + (c_mod if n > 1 else last)) % p
+    return g
 
 
 def pm_trim(f: ModPoly) -> ModPoly:
@@ -136,31 +57,31 @@ def pm_mul(f: ModPoly, g: ModPoly, p: int) -> ModPoly:
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
+            for j, b in enumerate(g, i):
+                out[j] = (out[j] + a * b) % p
     return pm_trim(out)
 
 
-def pm_rem(f: ModPoly, g: ModPoly, p: int) -> ModPoly:
-    g = pm_trim(list(g))
-    r = list(f)
+def pm_divmod(f: ModPoly, g: ModPoly, p: int) -> Tuple[ModPoly, ModPoly]:
+    """(q, r) with f = q*g + r and deg r < deg g; g[-1] must be nonzero."""
+    r = pm_trim(list(f))
+    q = [0] * max(0, len(r) - len(g) + 1)
     inv = pow(g[-1], -1, p)
+    low = g[:-1]
     while len(r) >= len(g):
-        r = pm_trim(r)
-        if len(r) < len(g):
-            break
-        coeff = r[-1] * inv % p
-        shift = len(r) - len(g)
-        for i, b in enumerate(g):
-            r[shift + i] = (r[shift + i] - coeff * b) % p
-        r.pop()
-    return pm_trim(r)
+        coeff = r.pop() * inv % p  # the leading term cancels exactly
+        shift = len(r) - len(low)
+        q[shift] = coeff
+        for j, b in enumerate(low, shift):
+            r[j] = (r[j] - coeff * b) % p
+        pm_trim(r)
+    return q, r
 
 
 def pm_gcd(f: ModPoly, g: ModPoly, p: int) -> ModPoly:
     a, b = pm_trim(list(f)), pm_trim(list(g))
     while b:
-        a, b = b, pm_rem(a, b, p)
+        a, b = b, pm_divmod(a, b, p)[1]
     if a:
         inv = pow(a[-1], -1, p)
         a = [c * inv % p for c in a]
@@ -169,11 +90,11 @@ def pm_gcd(f: ModPoly, g: ModPoly, p: int) -> ModPoly:
 
 def pm_powmod(base: ModPoly, e: int, mod: ModPoly, p: int) -> ModPoly:
     result = [1]
-    base = pm_rem(base, mod, p)
+    base = pm_divmod(base, mod, p)[1]
     while e:
         if e & 1:
-            result = pm_rem(pm_mul(result, base, p), mod, p)
-        base = pm_rem(pm_mul(base, base, p), mod, p)
+            result = pm_divmod(pm_mul(result, base, p), mod, p)[1]
+        base = pm_divmod(pm_mul(base, base, p), mod, p)[1]
         e >>= 1
     return result
 
@@ -183,7 +104,7 @@ def pm_derivative(f: ModPoly, p: int) -> ModPoly:
 
 
 def factor_degrees(f: ModPoly, p: int) -> Optional[List[int]]:
-    """Sorted degrees of the irreducible factors of square-free monic f mod p.
+    """Sorted degrees of the irreducible factors of square-free f mod p.
 
     Returns None when f mod p is not square-free (bad reduction).  Uses
     distinct-degree factorization: x^(p^d) - x collects all factors of
@@ -205,36 +126,12 @@ def factor_degrees(f: ModPoly, p: int) -> Optional[List[int]]:
             degrees.append(degree(f))
             break
         h = pm_powmod(h, p, f, p)
-        diff = pm_trim([(a - b) % p for a, b in _pairs(h, [0, 1])])
-        g = pm_gcd(f, diff, p)
+        diff = h + [0] * (2 - len(h))  # h - x
+        diff[1] = (diff[1] - 1) % p
+        g = pm_gcd(f, pm_trim(diff), p)
         if degree(g) > 0:
             degrees.extend([d] * (degree(g) // d))
-            q, r = _pm_divmod(f, g, p)
+            f, r = pm_divmod(f, g, p)
             assert not r
-            f = q
-            h = pm_rem(h, f, p) if degree(f) > 0 else h
+            h = pm_divmod(h, f, p)[1]
     return sorted(degrees)
-
-
-def _pm_divmod(f: ModPoly, g: ModPoly, p: int):
-    g = pm_trim(list(g))
-    r = list(f)
-    q = [0] * max(0, len(r) - len(g) + 1)
-    inv = pow(g[-1], -1, p)
-    while len(r) >= len(g):
-        r = pm_trim(r)
-        if len(r) < len(g):
-            break
-        coeff = r[-1] * inv % p
-        shift = len(r) - len(g)
-        q[shift] = coeff
-        for i, b in enumerate(g):
-            r[shift + i] = (r[shift + i] - coeff * b) % p
-        r.pop()
-    return pm_trim(q), pm_trim(r)
-
-
-def _pairs(a: Sequence[int], b: Sequence[int]):
-    n = max(len(a), len(b))
-    for i in range(n):
-        yield (a[i] if i < len(a) else 0), (b[i] if i < len(b) else 0)

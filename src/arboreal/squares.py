@@ -61,7 +61,7 @@ class SquareClass:
 ONE = SquareClass(1, ())
 
 
-def _as_fraction(q: Rational) -> Fraction:
+def _frac(q: Rational) -> Fraction:
     return q if isinstance(q, Fraction) else Fraction(q)
 
 
@@ -71,7 +71,7 @@ def square_class(q: Rational, budget: int = DEFAULT_BUDGET, seed: int = 0) -> Sq
     Raises BudgetExceeded when factoring numerator*denominator is too costly.
     Span dimensions never need this: see span_dimension.
     """
-    q = _as_fraction(q)
+    q = _frac(q)
     if q == 0:
         raise ValueError("0 has no square class")
     n = q.numerator * q.denominator
@@ -82,7 +82,7 @@ def square_class(q: Rational, budget: int = DEFAULT_BUDGET, seed: int = 0) -> Sq
 
 def sqrt_exact(q: Rational) -> Optional[Fraction]:
     """Exact nonnegative square root of q, or None when q is not a square."""
-    q = _as_fraction(q)
+    q = _frac(q)
     if q < 0:
         return None
     rn = math.isqrt(q.numerator)
@@ -100,7 +100,7 @@ def is_perfect_square(q: Rational) -> bool:
     By convention 0 returns True but raises DegenerateSquareWarning: callers
     must treat vanishing orbit values as degeneracy, not as squares.
     """
-    q = _as_fraction(q)
+    q = _frac(q)
     if q == 0:
         warnings.warn("square test on 0 (vanishing value)", DegenerateSquareWarning)
         return True
@@ -109,7 +109,7 @@ def is_perfect_square(q: Rational) -> bool:
 
 def all_valuations_even(q: Rational) -> bool:
     """True iff v_p(q) is even at every prime, i.e. |q| is a rational square."""
-    q = _as_fraction(q)
+    q = _frac(q)
     if q == 0:
         raise ValueError("0 has no valuations")
     return sqrt_exact(abs(q)) is not None
@@ -195,7 +195,7 @@ def span_dimension(
     raising BudgetExceeded when they run out; it is kept as the independent
     oracle the coprime route is tested against.
     """
-    fracs = [_as_fraction(v) for v in values]
+    fracs = [_frac(v) for v in values]
     if any(v == 0 for v in fracs):
         raise ValueError("values must be nonzero")
     if method == "factor":
@@ -219,8 +219,8 @@ class QuadElement:
     d: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _as_fraction(self.a))
-        object.__setattr__(self, "b", _as_fraction(self.b))
+        object.__setattr__(self, "a", _frac(self.a))
+        object.__setattr__(self, "b", _frac(self.b))
         if self.d != int(self.d):
             raise ValueError(f"d must be an integer: {self.d}")
         object.__setattr__(self, "d", int(self.d))

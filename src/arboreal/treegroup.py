@@ -12,7 +12,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+
+from .indexsets import _support_of
+
+# Largest depth verify_noncommutation accepts: a depth-16 portrait already
+# has 2^16 - 1 = 65,535 label bits.
+MAX_VERIFY_DEPTH = 16
 
 
 class CapExceeded(Exception):
@@ -169,11 +175,6 @@ def tilde_phi(k: int, g: TreeAut) -> int:
     return (g.levels[k - 1] & ((1 << half) - 1)).bit_count() & 1
 
 
-def _support_of(v) -> Tuple[int, ...]:
-    support = getattr(v, "support", v)
-    return tuple(sorted(set(support)))
-
-
 def in_Mv(g: TreeAut, v) -> bool:
     """Whether g lies in the maximal subgroup cut out by the index vector v.
 
@@ -189,17 +190,16 @@ def in_Mv(g: TreeAut, v) -> bool:
     return acc == 0
 
 
+def _portraits(depth: int, masks: Iterable[int]) -> Iterator[TreeAut]:
+    """Unpack portrait masks: level k+1 holds the 2^k bits from bit 2^k - 1 on."""
+    fields = [((1 << k) - 1, (1 << (1 << k)) - 1) for k in range(depth)]
+    for mask in masks:
+        yield TreeAut(depth, tuple([(mask >> shift) & width for shift, width in fields]))
+
+
 def enumerate_group(depth: int) -> Iterator[TreeAut]:
     """All 2^(2^depth - 1) elements, in increasing portrait-mask order."""
-    total_bits = (1 << depth) - 1
-    widths = [1 << k for k in range(depth)]
-    for mask in range(1 << total_bits):
-        levels = []
-        shift = 0
-        for w in widths:
-            levels.append((mask >> shift) & ((1 << w) - 1))
-            shift += w
-        yield TreeAut(depth, tuple(levels))
+    return _portraits(depth, range(1 << ((1 << depth) - 1)))
 
 
 @dataclass(frozen=True)
@@ -293,8 +293,13 @@ def verify_noncommutation(
     sigma outside {0, class of tau}; any commuting such pair is returned as a
     counterexample.  Exhaustive for depth <= 3; beyond that (or when `sample`
     is given) a seeded random sample of pairs is examined.  Returns the
-    counterexample list plus the number of ordered pairs scanned.
+    counterexample list plus the number of ordered pairs scanned.  Raises
+    ValueError for a negative sample or a depth outside 1..MAX_VERIFY_DEPTH.
     """
+    if not 1 <= depth <= MAX_VERIFY_DEPTH:
+        raise ValueError(f"depth must be between 1 and {MAX_VERIFY_DEPTH}, got {depth}")
+    if sample is not None and sample < 0:
+        raise ValueError(f"sample must be nonnegative, got {sample}")
     counterexamples: List[Tuple[TreeAut, TreeAut]] = []
 
     def check(sigma: TreeAut, tau: TreeAut) -> None:
@@ -316,18 +321,8 @@ def verify_noncommutation(
     if sample is None:
         sample = 100_000
     rng = random.Random(seed)
-    total_bits = (1 << depth) - 1
-
-    def random_element() -> TreeAut:
-        mask = rng.randrange(1 << total_bits)
-        levels = []
-        shift = 0
-        for k in range(depth):
-            w = 1 << k
-            levels.append((mask >> shift) & ((1 << w) - 1))
-            shift += w
-        return TreeAut(depth, tuple(levels))
-
-    for _ in range(sample):
-        check(random_element(), random_element())
+    size = 1 << ((1 << depth) - 1)
+    elements = _portraits(depth, (rng.randrange(size) for _ in range(2 * sample)))
+    for sigma, tau in zip(elements, elements):  # consecutive draws, sigma first
+        check(sigma, tau)
     return counterexamples, sample

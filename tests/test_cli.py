@@ -233,6 +233,16 @@ def test_tree_verify_table(capsys):
     assert out.strip() == "no counterexamples (16384 pairs)"
 
 
+def test_tree_verify_bad_depth_and_sample_are_input_errors(capsys):
+    for argv in (["64", "--sample", "1"], ["4", "--sample", "-5"], ["0"]):
+        assert main(["tree-verify", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("arboreal: input error: ")
+    code, records = run_json(capsys, "tree-verify", "4", "--sample", "0")
+    assert code == 0 and records[0]["pairs_scanned"] == 0
+
+
 def test_curve_command(capsys):
     code, records = run_json(
         capsys, "curve", "-2,0", "--vector", "{2,3}", "--i0", "1", "--search", "5"

@@ -1,9 +1,12 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from arboreal import polys
+from arboreal.cli import rationals_of_height
 from arboreal.dynamics import (
     DegeneracyError,
     PCF,
@@ -16,6 +19,7 @@ from arboreal.dynamics import (
     orbit_valuations,
     verify_pcf,
 )
+from arboreal.primes import primes_from
 
 F = Fraction
 
@@ -136,16 +140,68 @@ def test_is_exceptional_examples():
     assert not is_exceptional(QuadPair.from_normal(-2, 0))
 
 
+# --- exact Q[x] reference: ascending Fraction coefficient lists -------------
+
+
+def exact_iterates(c, depth):
+    """f^1(x), ..., f^depth(x) over Q for f = x^2 + c, iterating g <- g^2 + c."""
+    g, iterates = [F(0), F(1)], []
+    for _ in range(depth):
+        square = [F(0)] * (2 * len(g) - 1)
+        for i, a in enumerate(g):
+            for j, b in enumerate(g):
+                square[i + j] += a * b
+        square[0] += c
+        g = square
+        iterates.append(g)
+    return iterates
+
+
+def _exact_rem(f, g):
+    r = list(f)
+    while len(r) >= len(g):
+        coeff = r[-1] / g[-1]
+        shift = len(r) - len(g)
+        for i, b in enumerate(g):
+            r[shift + i] -= coeff * b
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def distinct_root_count(f):
+    """deg f - deg gcd(f, f') for f of degree >= 1 over Q."""
+    a, b = f, [i * x for i, x in enumerate(f)][1:]
+    while b:
+        a, b = b, _exact_rem(a, b)
+    return len(f) - len(a)
+
+
 def backward_orbit_sizes(pair, depth):
     """Independent oracle: count distinct preimages of alpha over the
     algebraic closure via squarefree degrees of the iterate polynomials."""
     c, beta = pair.normal_form()
-    sizes = []
-    for n in range(1, depth + 1):
-        coeffs = polys.quad_iterate(c, n)
-        coeffs[0] -= beta
-        sizes.append(polys.distinct_root_count(coeffs))
-    return sizes
+    return [distinct_root_count([f[0] - beta] + f[1:]) for f in exact_iterates(c, depth)]
+
+
+def test_fp_level_poly_against_exact_reduction():
+    """polys.level_poly is None exactly when p divides a denominator of the
+    exact level polynomial, and is its coefficientwise reduction otherwise."""
+    values = rationals_of_height(4)
+    primes = list(itertools.islice(primes_from(3), 40))
+    for c in values:
+        for (n, iterate), beta in itertools.product(enumerate(exact_iterates(c, 3), 1), values):
+            exact = [iterate[0] - beta] + iterate[1:]
+            den = math.lcm(*(q.denominator for q in exact))
+            scaled = [q.numerator * (den // q.denominator) for q in exact]
+            for p in primes:
+                got = polys.level_poly(c, beta, n, p)
+                if den % p == 0:  # p divides some coefficient's denominator
+                    assert got is None, (c, beta, n, p)
+                else:
+                    inv = pow(den, -1, p)
+                    assert got == [a * inv % p for a in scaled], (c, beta, n, p)
 
 
 def test_exceptional_matches_preimage_counting():

@@ -202,6 +202,14 @@ def test_poonen_examples():
     assert poonen_check(1, 5, 3).condition is None
 
 
+def test_poonen_zero_c_and_alpha():
+    # v_p(0) is infinite, not negative: neither zero may trip a valuation test
+    result = poonen_check(0, 0, 3)
+    assert result.condition is None and result.details == "alpha lies in the exact orbit of 0"
+    assert poonen_check(1, 0, 3).condition is None
+    assert poonen_check(0, F(1, 3), 3).details == "v_3(alpha) = -1 < 0"
+
+
 def test_poonen_preconditions():
     with pytest.raises(ValueError):
         poonen_check(1, 1, 2)

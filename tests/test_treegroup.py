@@ -3,6 +3,7 @@ import random
 import pytest
 
 from arboreal.treegroup import (
+    MAX_VERIFY_DEPTH,
     CapExceeded,
     SubgroupGens,
     TreeAut,
@@ -277,6 +278,16 @@ def test_verify_noncommutation_depth4_sampled():
     counterexamples, scanned = verify_noncommutation(4, sample=20000, seed=0)
     assert counterexamples == []
     assert scanned == 20000
+
+
+def test_verify_noncommutation_rejects_bad_input():
+    with pytest.raises(ValueError, match="sample"):
+        verify_noncommutation(4, sample=-5)
+    for depth in (0, MAX_VERIFY_DEPTH + 1, 64):
+        with pytest.raises(ValueError, match="depth"):
+            verify_noncommutation(depth, sample=1)
+    assert verify_noncommutation(4, sample=0) == ([], 0)
+    assert verify_noncommutation(MAX_VERIFY_DEPTH, sample=1)[1] == 1
 
 
 def test_abelian_subgroups_have_one_dimensional_faithful_image_depth3():
