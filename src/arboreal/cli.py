@@ -3,7 +3,7 @@
 Subcommands wrap the library one-to-one and emit deterministic JSON records
 (or aligned tables) with a provenance field naming the rule behind each
 verdict.  Exit codes: 0 success, 1 input error, 2 inconclusive (with
-partial output).
+partial output, or {"error": ...} when an adjusted-orbit value vanishes).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .dynamics import (
 )
 from .primes import DEFAULT_BUDGET, BudgetExceeded
 from .squares import square_class
-from .treegroup import CapExceeded
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -252,11 +251,7 @@ def _cmd_contain(args) -> int:
     config = _config(args)
     pair = QuadPair.parse(args.pair)
     vector = indexsets.IndexVector.parse(args.vector)
-    try:
-        result = galois.contained_in_Mv(pair, vector, config.orbit_budget)
-    except DegeneracyError as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True))
-        return EXIT_INCONCLUSIVE
+    result = galois.contained_in_Mv(pair, vector, config.orbit_budget)
     record = {
         "pair": pair.describe(),
         "vector": list(vector.support),
@@ -270,11 +265,7 @@ def _cmd_contain(args) -> int:
 def _cmd_abdim(args) -> int:
     config = _config(args)
     pair = QuadPair.parse(args.pair)
-    try:
-        dim = galois.ab_dimension(pair, args.n)
-    except DegeneracyError as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True))
-        return EXIT_INCONCLUSIVE
+    dim = galois.ab_dimension(pair, args.n)
     record = {"pair": pair.describe(), "N": args.n, "dimension": dim}
     try:
         orbit = adjusted_orbit(pair, args.n)
@@ -291,11 +282,7 @@ def _cmd_abdim(args) -> int:
 def _cmd_group2(args) -> int:
     config = _config(args)
     pair = QuadPair.parse(args.pair)
-    try:
-        data = galois.level2_data(pair)
-    except DegeneracyError as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True))
-        return EXIT_INCONCLUSIVE
+    data = galois.level2_data(pair)
     record = {
         "pair": pair.describe(),
         "group": data.group.value,
@@ -320,11 +307,7 @@ def _cmd_group2(args) -> int:
 
 def _cmd_valuations(args) -> int:
     config = _config(args)
-    try:
-        report = orbit_valuations(parse_rational(args.c), args.p, args.n)
-    except DegeneracyError as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True))
-        return EXIT_INCONCLUSIVE
+    report = orbit_valuations(parse_rational(args.c), args.p, args.n)
     record = {
         "c": str(report.c),
         "p": report.p,
@@ -385,7 +368,6 @@ def _cmd_indexset(args) -> int:
     config = _config(args)
     family = _parse_family(args.family, args.family_file)
     records = []
-    code = EXIT_OK
     if args.progression:
         k, length = (int(t) for t in args.progression.split(","))
         targets = [indexsets.IndexVector.parse(t) for t in args.span or []]
@@ -419,7 +401,7 @@ def _cmd_indexset(args) -> int:
     if not records:
         raise ValueError("choose --progression k,l and/or --coprime M")
     _emit(records, config, ("check", "ok"))
-    return code
+    return EXIT_OK
 
 
 def _cmd_bertrand(args) -> int:
@@ -627,8 +609,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"arboreal: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (CapExceeded, DegeneracyError) as exc:
-        print(f"arboreal: inconclusive: {exc}", file=sys.stderr)
+    except DegeneracyError as exc:
+        print(json.dumps({"error": str(exc)}, sort_keys=True))
         return EXIT_INCONCLUSIVE
 
 

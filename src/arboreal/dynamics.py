@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-from .primes import BudgetExceeded, is_probable_prime, smallest_prime_factor
+from .primes import is_probable_prime, smallest_prime_factor
 from .squares import _frac
 
 Rational = Union[int, Fraction]
@@ -141,8 +141,9 @@ class PCI:
     """The critical orbit is infinite, with a replayable witness.
 
     witness "valuation": c is non-integral at `prime`, so orbit denominators
-    blow up doubly exponentially; `prime` is None when den(c) has no prime
-    factor within the factoring budget (any of its primes is a witness).
+    blow up doubly exponentially; `prime` is the smallest prime of den(c), or
+    None when den(c) is composite with no prime factor up to trial division's
+    10^6 (any of its primes is a witness, so none is searched for).
     witness "escape": |value| = |c_index| exceeds max(|c|, 2), after which
     absolute values strictly increase.
     """
@@ -159,11 +160,7 @@ def is_pcf(pair: QuadPair) -> Union[PCF, PCI]:
     """Total decision procedure for post-critical finiteness over Q."""
     c, _ = pair.normal_form()
     if c.denominator > 1:
-        try:
-            prime: Optional[int] = smallest_prime_factor(c.denominator)
-        except BudgetExceeded:
-            prime = None
-        return PCI("valuation", 1, -c, prime)
+        return PCI("valuation", 1, -c, smallest_prime_factor(c.denominator))
     bound = max(abs(c), 2)
     seen = {Fraction(0): 0}
     z = Fraction(0)

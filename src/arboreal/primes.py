@@ -5,7 +5,8 @@ factorization is a hang.  Every factorization here counts elementary
 operations (trial probes, rho iterations) against an explicit budget and
 raises BudgetExceeded when the bound is hit; callers then leave the factored
 output out.  The large-factor splitter is randomized but seeded, so parallel
-and repeated runs are reproducible.
+and repeated runs are reproducible.  Only factorize spends a budget:
+smallest_prime_factor stops at trial division and a primality test.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Optional
 
 TRIAL_LIMIT = 10**6
 DEFAULT_BUDGET = 2_000_000
@@ -178,19 +179,18 @@ def factorize(n: int, budget: int = DEFAULT_BUDGET, seed: int = 0) -> Dict[int, 
     return out
 
 
-def smallest_prime_factor(n: int) -> int:
-    """Smallest prime factor of |n| > 1.
+def smallest_prime_factor(n: int) -> Optional[int]:
+    """Smallest prime factor of |n| > 1 by trial division up to TRIAL_LIMIT.
 
-    Trial division up to 10^6 stops at the first factor found; otherwise the
-    cofactor left goes straight to rho, within factorize's default budget
-    (BudgetExceeded when it runs out).
+    With none found, the cofactor if it is prime, else None: this never
+    factors, so only a composite with no prime factor <= TRIAL_LIMIT gets None.
     """
     n = abs(n)
     if n <= 1:
         raise ValueError("need |n| > 1")
-    meter = _Budget(DEFAULT_BUDGET)
     out: Dict[int, int] = {}
-    rest = _trial_divide(n, out, meter, first=True)
-    if not out:
-        _split(rest, out, 1, 0, meter)
-    return min(out)
+    # at most TRIAL_LIMIT probes, so this meter never runs out
+    rest = _trial_divide(n, out, _Budget(TRIAL_LIMIT), first=True)
+    if out:
+        return min(out)
+    return rest if is_probable_prime(rest) else None

@@ -5,8 +5,9 @@ with the square-free prime support.  Span dimensions are decided through a
 gcd-free (pairwise coprime) basis alone, which never factors: distinct basis
 elements are coprime, so their square classes are independent.  Prime
 factorization (square_class) runs only where the output is itself a
-factorization.  Squareness in a quadratic field Q(sqrt(d)), for any integer d
-that is not a square, reduces to rational square tests on the norm.
+factorization, the square-class display; no decision calls it.  Squareness
+in a quadratic field Q(sqrt(d)), for any integer d that is not a square,
+reduces to rational square tests on the norm.
 """
 
 from __future__ import annotations
@@ -179,29 +180,14 @@ def coprime_base(values: Sequence[int]) -> Tuple[List[int], List[F2Vector]]:
     return base, vectors
 
 
-def span_dimension(
-    values: Sequence[Rational],
-    budget: int = DEFAULT_BUDGET,
-    seed: int = 0,
-    method: str = "coprime",
-) -> int:
-    """dim of the span of the values in Q*/Q*^2.
+def span_dimension(values: Sequence[Rational]) -> int:
+    """dim of the span of the (nonzero) values in Q*/Q*^2.
 
-    method "coprime" (the default) reads the rank off a gcd-free basis of
-    numerator*denominator of each value and never factors: basis elements
-    are pairwise coprime, so the non-square ones have independent square
-    classes.  method "factor" takes the prime-factorization route instead,
-    spending up to `budget` operations per value (seeded by `seed`) and
-    raising BudgetExceeded when they run out; it is kept as the independent
-    oracle the coprime route is tested against.
+    Reads the rank off a gcd-free basis of numerator*denominator of each
+    value and never factors: basis elements are pairwise coprime, so the
+    non-square ones have independent square classes.
     """
     fracs = [_frac(v) for v in values]
-    if any(v == 0 for v in fracs):
-        raise ValueError("values must be nonzero")
-    if method == "factor":
-        return rank([square_class(v, budget, seed).to_vector() for v in fracs])
-    if method != "coprime":
-        raise ValueError(f"unknown method {method!r}")
     _, vectors = coprime_base([v.numerator * v.denominator for v in fracs])
     return rank(vectors)
 

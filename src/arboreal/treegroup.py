@@ -20,6 +20,10 @@ from .indexsets import _support_of
 # has 2^16 - 1 = 65,535 label bits.
 MAX_VERIFY_DEPTH = 16
 
+# verify_noncommutation's default sample is DEFAULT_SAMPLE_WORK >> depth pairs
+# (a fixed pairs-times-leaves budget): 100,000 at depth 4, 24 at depth 16.
+DEFAULT_SAMPLE_WORK = 100_000 << 4
+
 
 class CapExceeded(Exception):
     """Subgroup closure grew past the requested cap."""
@@ -292,7 +296,8 @@ def verify_noncommutation(
     Scans ordered pairs (sigma, tau) with phi_1(tau) = 1 and the class of
     sigma outside {0, class of tau}; any commuting such pair is returned as a
     counterexample.  Exhaustive for depth <= 3; beyond that (or when `sample`
-    is given) a seeded random sample of pairs is examined.  Returns the
+    is given) a seeded random sample of pairs is examined, by default
+    DEFAULT_SAMPLE_WORK >> depth of them.  Returns the
     counterexample list plus the number of ordered pairs scanned.  Raises
     ValueError for a negative sample or a depth outside 1..MAX_VERIFY_DEPTH.
     """
@@ -319,7 +324,7 @@ def verify_noncommutation(
         return counterexamples, len(elements) ** 2
 
     if sample is None:
-        sample = 100_000
+        sample = DEFAULT_SAMPLE_WORK >> depth
     rng = random.Random(seed)
     size = 1 << ((1 << depth) - 1)
     elements = _portraits(depth, (rng.randrange(size) for _ in range(2 * sample)))

@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from conftest import factor_span_dimension
 
 from arboreal.cli import RunConfig, run_survey
 from arboreal.curves import construct_point, naive_point_search
@@ -214,9 +215,7 @@ def test_criterion_10_oracle_equivalence_suite():
                 F(rng.choice([-1, 1]) * rng.randint(1, 3000), rng.randint(1, 50))
                 for _ in range(rng.randint(1, 6))
             ]
-            assert span_dimension(values, method="factor") == span_dimension(
-                values, method="coprime"
-            )
+            assert factor_span_dimension(values) == span_dimension(values)
 
         specs = 0
         constructed = 0

@@ -99,15 +99,20 @@ def test_abdim_classes_null_when_display_budget_runs_out(capsys):
 
 def test_decisions_never_factor(capsys, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the decision core called factorize")
+        raise AssertionError("the decision core factored")
 
     monkeypatch.setattr("arboreal.primes.factorize", refuse)
     monkeypatch.setattr("arboreal.squares.factorize", refuse)
+    monkeypatch.setattr("arboreal.primes._split", refuse)
     s = 10**9 + 7
     for pair in (f"0,-{s * s}", "-8,-8", "1/3,5/7"):
         assert run(capsys, "classify", pair)[0] == 0
     assert run(capsys, "group2", f"0,-{s * s}")[0] == 0
     assert run(capsys, "survey", "--c-height", "3", "--alpha-height", "3")[0] == 0
+    primes = primes_from(10**30)
+    pq = next(primes) * next(primes)
+    assert run(capsys, "pcf", f"1/{pq}")[0] == 0
+    assert run(capsys, "classify", f"1/{pq},0", "--dim-n", "3")[0] == 0
 
 
 def test_indexset_json_family_file(tmp_path, capsys):
@@ -146,7 +151,7 @@ def test_pcf_command(capsys):
 
 def test_pcf_command_valuation_witness_beyond_factoring_budget(capsys):
     # c = 1/(P*Q) with P, Q the first primes above 10^30: den(c) has no prime
-    # factor within the factoring budget, yet the verdict is still decided
+    # factor up to trial division's 10^6, and none is needed for the verdict
     primes = primes_from(10**30)
     p, q = next(primes), next(primes)
     code, records = run_json(capsys, "pcf", f"1/{p * q}")
@@ -243,6 +248,14 @@ def test_tree_verify_bad_depth_and_sample_are_input_errors(capsys):
     assert code == 0 and records[0]["pairs_scanned"] == 0
 
 
+def test_tree_verify_default_sample_shrinks_with_depth(capsys):
+    # DEFAULT_SAMPLE_WORK >> depth pairs: 100,000 at depth 4, 1,562 at 10
+    code, records = run_json(capsys, "tree-verify", "10")
+    assert code == 0
+    assert records[0]["mode"] == "sampled"
+    assert records[0]["pairs_scanned"] == 1562
+
+
 def test_curve_command(capsys):
     code, records = run_json(
         capsys, "curve", "-2,0", "--vector", "{2,3}", "--i0", "1", "--search", "5"
@@ -252,6 +265,13 @@ def test_curve_command(capsys):
     assert rec["constructed_point"] == {"x": "0", "y": "2"}
     assert ["0", "2"] in rec["points"]
     assert rec["smooth"] is True
+
+
+def test_curve_degenerate_reports_json_error(capsys):
+    # c_1 vanishes: main reports it as for every other command
+    code, out = run(capsys, "curve", "-2,-2", "--vector", "{2,3}", "--i0", "1")
+    assert code == 2
+    assert json.loads(out) == {"error": "c_1 equals the basepoint shift (vanishing value)"}
 
 
 def test_parse_error_exit_code(capsys):

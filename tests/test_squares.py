@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import factor_span_dimension
 from hypothesis import assume, given, strategies as st
 
 from arboreal.dynamics import QuadPair, adjusted_orbit
@@ -129,12 +130,12 @@ prime_power_values = st.builds(
 @given(st.lists(prime_power_values, min_size=1, max_size=5))
 def test_coprime_base_on_large_prime_powers(values):
     check_coprime_base(values)
-    assert span_dimension(values) == span_dimension(values, method="factor")
+    assert span_dimension(values) == factor_span_dimension(values)
 
 
 @given(st.lists(rationals, min_size=1, max_size=7))
 def test_span_dimension_routes_agree_on_rationals(values):
-    assert span_dimension(values) == span_dimension(values, method="factor")
+    assert span_dimension(values) == factor_span_dimension(values)
 
 
 heights = st.builds(
@@ -147,13 +148,15 @@ def test_span_dimension_routes_agree_on_orbit_prefixes(c, alpha, n):
     orbit = adjusted_orbit(QuadPair.from_normal(c, alpha), n)
     assume(orbit.degeneracy_index is None)
     values = orbit.adjusted
-    assert span_dimension(values) == span_dimension(values, method="factor")
+    assert span_dimension(values) == factor_span_dimension(values)
 
 
 def test_span_dimension_examples():
     assert span_dimension([2, 2, 2, 2]) == 1
     assert span_dimension([2, -1]) == 2
     assert span_dimension([-1, 2, 5, 26, 677, 458330]) == 6
+    with pytest.raises(ValueError):
+        span_dimension([2, Fraction(0)])
 
 
 def test_span_dimension_paths_agree():
@@ -163,25 +166,16 @@ def test_span_dimension_paths_agree():
             Fraction(rng.choice([-1, 1]) * rng.randint(1, 4000), rng.randint(1, 60))
             for _ in range(rng.randint(1, 7))
         ]
-        a = span_dimension(values, method="factor")
-        b = span_dimension(values, method="coprime")
-        assert a == b
+        assert factor_span_dimension(values) == span_dimension(values)
 
 
 def test_span_dimension_budget_fallback():
-    # two large coprime semiprime-ish values: the tiny budget cannot factor
-    # them, the coprime route still answers
+    # a tiny budget cannot factor the semiprime; the span needs no budget
     p = 10**9 + 7
     q = 10**9 + 9
-    values = [p * q, q]
     with pytest.raises(BudgetExceeded):
-        span_dimension(values, budget=10, method="factor")
-    assert span_dimension(values, budget=10) == 2
-
-
-def test_span_dimension_methods():
-    with pytest.raises(ValueError):
-        span_dimension([2], method="auto")
+        square_class(p * q, budget=10)
+    assert span_dimension([p * q, q]) == 2
 
 
 def test_all_valuations_even():
@@ -257,8 +251,12 @@ def test_factorize_smoke():
 
 
 def test_smallest_prime_factor_beyond_trial_division():
+    # trial division to 10^6 and a primality test, never rho: a composite
+    # with no prime factor <= 10^6 gets None
     primes = primes_from(10**6 + 1)
     p, q = next(primes), next(primes)
-    assert smallest_prime_factor(p * q) == p
+    assert smallest_prime_factor(p * q) is None
     assert smallest_prime_factor(-2 * p * q) == 2
     assert smallest_prime_factor(p) == p
+    big = next(primes_from(10**12 + 1))
+    assert smallest_prime_factor(big) == big
