@@ -14,7 +14,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
@@ -43,16 +42,6 @@ EXCEPTIONAL_NOTE = (
 )
 
 
-@dataclass
-class RunConfig:
-    orbit_budget: int = 24
-    factor_budget: int = DEFAULT_BUDGET
-    prime_bound: int = 100
-    seed: int = 0
-    output: str = "json"
-    dim_N: int = 12
-
-
 def _pcf_json(verdict) -> dict:
     if isinstance(verdict, PCF):
         return {"kind": "pcf", "preperiod": verdict.preperiod, "period": verdict.period}
@@ -65,7 +54,11 @@ def _pcf_json(verdict) -> dict:
     }
 
 
-def classify_pair(pair: QuadPair, config: RunConfig) -> dict:
+def classify_pair(
+    pair: QuadPair,
+    prime_bound: int = galois.DEFAULT_PRIME_BOUND,
+    dim_N: int = galois.DEFAULT_DIM_N,
+) -> dict:
     """Full classification record for one pair."""
     c, beta = pair.normal_form()
     record: dict = {
@@ -76,15 +69,11 @@ def classify_pair(pair: QuadPair, config: RunConfig) -> dict:
     record["pcf"] = _pcf_json(pcf_verdict)
     record["exceptional"] = is_exceptional(pair)
     record["degenerate"] = in_post_critical_orbit(pair)
-    verdict = galois.classify_abelian(
-        pair,
-        prime_bound=config.prime_bound,
-        dim_N=config.dim_N,
-    )
+    verdict = galois.classify_abelian(pair, prime_bound, dim_N)
     record["abelian"] = verdict.to_json()
     try:
-        record["ab_dimension"] = galois.ab_dimension(pair, config.dim_N)
-        record["ab_dimension_N"] = config.dim_N
+        record["ab_dimension"] = galois.ab_dimension(pair, dim_N)
+        record["ab_dimension_N"] = dim_N
     except DegeneracyError as exc:
         record["ab_dimension"] = None
         record["ab_dimension_note"] = str(exc)
@@ -106,8 +95,8 @@ def classify_pair(pair: QuadPair, config: RunConfig) -> dict:
     return record
 
 
-def _emit(records: List[dict], config: RunConfig, table_fields: Sequence[str]) -> None:
-    if config.output == "json":
+def _emit(records: List[dict], output: str, table_fields: Sequence[str]) -> None:
+    if output == "json":
         print(json.dumps(records, indent=2, sort_keys=True))
         return
     for record in records:
@@ -145,39 +134,41 @@ def _setting(flag: Optional[int], env: str, fallback: int) -> int:
         raise ValueError(f"{env} must be an integer, got {raw!r}") from None
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(
-        orbit_budget=_setting(args.orbit_budget, "ARBOREAL_ORBIT_BUDGET", RunConfig.orbit_budget),
-        factor_budget=_setting(args.factor_budget, "ARBOREAL_FACTOR_BUDGET", RunConfig.factor_budget),
-        prime_bound=_setting(args.prime_bound, "ARBOREAL_PRIME_BOUND", RunConfig.prime_bound),
-        seed=_setting(args.seed, "ARBOREAL_SEED", RunConfig.seed),
-        output=args.format,
-        dim_N=_setting(args.dim_n, "ARBOREAL_DIM_N", RunConfig.dim_N),
-    )
+def _classifier_settings(args) -> dict:
+    """classify_abelian's keyword settings for classify and survey."""
+    return {
+        "prime_bound": _setting(args.prime_bound, "ARBOREAL_PRIME_BOUND", galois.DEFAULT_PRIME_BOUND),
+        "dim_N": _setting(args.dim_n, "ARBOREAL_DIM_N", galois.DEFAULT_DIM_N),
+    }
 
 
 def rationals_of_height(H: int) -> List[Fraction]:
     """All rationals p/q in lowest terms with |p| <= H and 1 <= q <= H.
 
-    Height 0 still contains 0, so the smallest grid is {0} x {0}.
+    Height 0 still contains 0, so the smallest grid is {0} x {0}; a negative
+    height is a ValueError.
     """
+    if H < 0:
+        raise ValueError(f"height must be nonnegative, got {H}")
     values = {Fraction(p, q) for q in range(1, max(H, 1) + 1) for p in range(-H, H + 1)}
     return sorted(v for v in values if abs(v.numerator) <= H and v.denominator <= max(H, 1))
 
 
-def run_survey(c_height: int, alpha_height: int, config: RunConfig) -> dict:
+def run_survey(
+    c_height: int,
+    alpha_height: int,
+    prime_bound: int = galois.DEFAULT_PRIME_BOUND,
+    dim_N: int = galois.DEFAULT_DIM_N,
+) -> dict:
     """Classify every normal-form pair (x^2 + c, alpha) on the height grid."""
     abelian: List[dict] = []
     counts = {"abelian": 0, "nonabelian": 0, "not_applicable": 0}
     rows: List[dict] = []
+    alphas = rationals_of_height(alpha_height)
     for c in rationals_of_height(c_height):
-        for alpha in rationals_of_height(alpha_height):
+        for alpha in alphas:
             pair = QuadPair.from_normal(c, alpha)
-            verdict = galois.classify_abelian(
-                pair,
-                prime_bound=config.prime_bound,
-                dim_N=config.dim_N,
-            )
+            verdict = galois.classify_abelian(pair, prime_bound, dim_N)
             counts[verdict.status] += 1
             row = {
                 "c": str(c),
@@ -197,17 +188,16 @@ def run_survey(c_height: int, alpha_height: int, config: RunConfig) -> dict:
 
 
 def _cmd_classify(args) -> int:
-    config = _config(args)
+    settings = _classifier_settings(args)
     pairs = _parse_pairs(args)
-    records = [classify_pair(p, config) for p in pairs]
-    _emit(records, config, ("normal_form.c", "normal_form.beta", "abelian.status"))
+    records = [classify_pair(p, **settings) for p in pairs]
+    _emit(records, args.format, ("normal_form.c", "normal_form.beta", "abelian.status"))
     return EXIT_OK
 
 
 def _cmd_survey(args) -> int:
-    config = _config(args)
-    result = run_survey(args.c_height, args.alpha_height, config)
-    if config.output == "json":
+    result = run_survey(args.c_height, args.alpha_height, **_classifier_settings(args))
+    if args.format == "json":
         print(json.dumps(result, indent=2, sort_keys=True))
     else:
         for row in result["rows"]:
@@ -224,7 +214,6 @@ def _cmd_survey(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
-    config = _config(args)
     pair = QuadPair.parse(args.pair)
     orbit = adjusted_orbit(pair, args.n)
     record = {
@@ -233,54 +222,53 @@ def _cmd_orbit(args) -> int:
         "adjusted": [str(v) for v in orbit.adjusted],
         "degeneracy_index": orbit.degeneracy_index,
     }
-    _emit([record], config, ("pair", "degeneracy_index"))
+    _emit([record], args.format, ("pair", "degeneracy_index"))
     return EXIT_OK
 
 
 def _cmd_pcf(args) -> int:
-    config = _config(args)
     records = []
     for text in args.pairs:
+        text = text.strip()  # main may have prefixed a space
         pair = QuadPair.parse(text if "," in text else text + ",0")
         records.append({"input": text, "verdict": _pcf_json(is_pcf(pair))})
-    _emit(records, config, ("input", "verdict.kind"))
+    _emit(records, args.format, ("input", "verdict.kind"))
     return EXIT_OK
 
 
 def _cmd_contain(args) -> int:
-    config = _config(args)
+    orbit_budget = _setting(args.orbit_budget, "ARBOREAL_ORBIT_BUDGET", galois.DEFAULT_ORBIT_BUDGET)
     pair = QuadPair.parse(args.pair)
     vector = indexsets.IndexVector.parse(args.vector)
-    result = galois.contained_in_Mv(pair, vector, config.orbit_budget)
+    result = galois.contained_in_Mv(pair, vector, orbit_budget)
     record = {
         "pair": pair.describe(),
         "vector": list(vector.support),
         "contained": result,
         "provenance": "square-product-containment",
     }
-    _emit([record], config, ("pair", "contained"))
+    _emit([record], args.format, ("pair", "contained"))
     return EXIT_OK
 
 
 def _cmd_abdim(args) -> int:
-    config = _config(args)
+    factor_budget = _setting(args.factor_budget, "ARBOREAL_FACTOR_BUDGET", DEFAULT_BUDGET)
     pair = QuadPair.parse(args.pair)
     dim = galois.ab_dimension(pair, args.n)
     record = {"pair": pair.describe(), "N": args.n, "dimension": dim}
     try:
         orbit = adjusted_orbit(pair, args.n)
         record["classes"] = [
-            square_class(v, config.factor_budget, config.seed).to_vector().to_json()
+            square_class(v, factor_budget).to_vector().to_json()
             for v in orbit.adjusted
         ]
     except BudgetExceeded:
         record["classes"] = None  # only the display factors, not the dimension
-    _emit([record], config, ("pair", "dimension"))
+    _emit([record], args.format, ("pair", "dimension"))
     return EXIT_OK
 
 
 def _cmd_group2(args) -> int:
-    config = _config(args)
     pair = QuadPair.parse(args.pair)
     data = galois.level2_data(pair)
     record = {
@@ -301,12 +289,11 @@ def _cmd_group2(args) -> int:
             },
             "compatible": sorted(g.value for g in report.compatible or ()),
         }
-    _emit([record], config, ("pair", "group"))
+    _emit([record], args.format, ("pair", "group"))
     return EXIT_OK
 
 
 def _cmd_valuations(args) -> int:
-    config = _config(args)
     report = orbit_valuations(parse_rational(args.c), args.p, args.n)
     record = {
         "c": str(report.c),
@@ -317,23 +304,22 @@ def _cmd_valuations(args) -> int:
         "conformant": report.conformant,
         "mismatches": list(report.mismatches),
     }
-    _emit([record], config, ("c", "p", "pattern", "conformant"))
+    _emit([record], args.format, ("c", "p", "pattern", "conformant"))
     return EXIT_OK
 
 
 def _cmd_poonen(args) -> int:
-    config = _config(args)
     result = galois.poonen_check(parse_rational(args.c), parse_rational(args.alpha), args.p)
     record = {
-        "c": args.c,
-        "alpha": args.alpha,
+        "c": args.c.strip(),  # main may have prefixed a space
+        "alpha": args.alpha.strip(),
         "p": args.p,
         "infinitely_ramified": result.infinitely_ramified,
         "condition": result.condition,
         "details": result.details,
         "provenance": "odd-place-ramification-test",
     }
-    _emit([record], config, ("p", "infinitely_ramified", "condition"))
+    _emit([record], args.format, ("p", "infinitely_ramified", "condition"))
     return EXIT_OK if result.infinitely_ramified else EXIT_INCONCLUSIVE
 
 
@@ -365,7 +351,6 @@ def _parse_family(text: Optional[str], path: Optional[str]) -> indexsets.IndexFa
 
 
 def _cmd_indexset(args) -> int:
-    config = _config(args)
     family = _parse_family(args.family, args.family_file)
     records = []
     if args.progression:
@@ -400,12 +385,11 @@ def _cmd_indexset(args) -> int:
         )
     if not records:
         raise ValueError("choose --progression k,l and/or --coprime M")
-    _emit(records, config, ("check", "ok"))
+    _emit(records, args.format, ("check", "ok"))
     return EXIT_OK
 
 
 def _cmd_bertrand(args) -> int:
-    config = _config(args)
     if args.upto:
         terms = list(range(1, args.upto + 1))
     elif args.terms:
@@ -426,14 +410,14 @@ def _cmd_bertrand(args) -> int:
         record["coprime_ok"] = report.ok
         record["witnesses_match"] = tuple(report.witnesses) == built.witnesses
         record["unbounded_evidence"] = report.unbounded_evidence
-    _emit([record], config, ("terms", "max_witness"))
+    _emit([record], args.format, ("terms", "max_witness"))
     return EXIT_OK
 
 
 def _cmd_tree_verify(args) -> int:
-    config = _config(args)
+    seed = _setting(args.seed, "ARBOREAL_SEED", treegroup.DEFAULT_SEED)
     counterexamples, scanned = treegroup.verify_noncommutation(
-        args.depth, sample=args.sample, seed=config.seed
+        args.depth, sample=args.sample, seed=seed
     )
     record = {
         "depth": args.depth,
@@ -443,7 +427,7 @@ def _cmd_tree_verify(args) -> int:
             {"sigma": str(s), "tau": str(t)} for s, t in counterexamples
         ],
     }
-    if config.output == "table":
+    if args.format == "table":
         if counterexamples:
             print("counterexamples found: %d" % len(counterexamples))
         else:
@@ -454,7 +438,6 @@ def _cmd_tree_verify(args) -> int:
 
 
 def _cmd_curve(args) -> int:
-    config = _config(args)
     pair = QuadPair.parse(args.pair)
     record: dict = {"pair": pair.describe()}
     curve = None
@@ -478,7 +461,7 @@ def _cmd_curve(args) -> int:
         points = curves_mod.naive_point_search(curve, args.search)
         record["points"] = [[str(x), str(y)] for x, y in points]
         record["search_height"] = args.search
-    _emit([record], config, ("pair", "genus", "smooth"))
+    _emit([record], args.format, ("pair", "genus", "smooth"))
     return EXIT_OK
 
 
@@ -491,68 +474,60 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="arboreal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        # numeric defaults come from the environment, read by _config
-        p.add_argument("--orbit-budget", type=int)
-        p.add_argument("--factor-budget", type=int)
+    # A numeric setting defaults to its ARBOREAL_* variable, read by _setting
+    # in the command, and then to the library's default.
+    def classifier_settings(p: argparse.ArgumentParser) -> None:
         p.add_argument("--prime-bound", type=int)
-        p.add_argument("--seed", type=int)
         p.add_argument("--dim-n", type=int)
-        p.add_argument("--format", choices=("json", "table"), default="json")
 
     p = sub.add_parser("classify", help="full classification records")
     p.add_argument("pairs", nargs="*", help="pairs as 'a,b,alpha' or 'c,alpha'")
     p.add_argument("--csv", help="CSV file of pairs")
-    common(p)
+    classifier_settings(p)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("survey", help="abelian survey over a height grid")
     p.add_argument("--c-height", type=int, required=True)
     p.add_argument("--alpha-height", type=int, required=True)
-    common(p)
+    classifier_settings(p)
     p.set_defaults(func=_cmd_survey)
 
     p = sub.add_parser("orbit", help="adjusted post-critical orbit")
     p.add_argument("pair")
     p.add_argument("-N", "--n", type=int, default=10)
-    common(p)
     p.set_defaults(func=_cmd_orbit)
 
     p = sub.add_parser("pcf", help="post-critical finiteness verdicts")
     p.add_argument("pairs", nargs="+", help="pairs, or bare c values")
-    common(p)
     p.set_defaults(func=_cmd_pcf)
 
     p = sub.add_parser("contain", help="containment in a maximal subgroup")
     p.add_argument("pair")
     p.add_argument("vector", help="index vector like '{1,2}'")
-    common(p)
+    p.add_argument("--orbit-budget", type=int)
     p.set_defaults(func=_cmd_contain)
 
     p = sub.add_parser("abdim", help="orbit span dimension modulo squares")
     p.add_argument("pair")
-    p.add_argument("-N", "--n", type=int, default=12)
-    common(p)
+    p.add_argument("-N", "--n", type=int, default=galois.DEFAULT_DIM_N)
+    p.add_argument("--factor-budget", type=int)
     p.set_defaults(func=_cmd_abdim)
 
     p = sub.add_parser("group2", help="exact level-2 Galois group")
     p.add_argument("pair")
     p.add_argument("--frobenius", type=int, default=0, help="cross-validate over N good primes")
-    common(p)
     p.set_defaults(func=_cmd_group2)
 
     p = sub.add_parser("valuations", help="orbit valuations and divisibility pattern")
     p.add_argument("-c", required=True)
     p.add_argument("-p", type=int, required=True)
     p.add_argument("-N", "--n", type=int, default=12)
-    common(p)
     p.set_defaults(func=_cmd_valuations)
 
     p = sub.add_parser("poonen", help="odd-place infinite-ramification test")
     p.add_argument("-c", required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("-p", type=int, required=True)
-    common(p)
     p.set_defaults(func=_cmd_poonen)
 
     p = sub.add_parser("indexset", help="progression / coprimality checks")
@@ -561,20 +536,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--progression", help="'k,l'")
     p.add_argument("--span", action="append", help="span target (repeatable)")
     p.add_argument("--coprime", type=int, help="threshold M")
-    common(p)
     p.set_defaults(func=_cmd_indexset)
 
     p = sub.add_parser("bertrand", help="prefix family with prime witnesses")
     p.add_argument("--terms", help="comma-separated strictly increasing a_n")
     p.add_argument("--upto", type=int, help="use a_n = n for n <= UPTO")
     p.add_argument("--check-coprime", action="store_true")
-    common(p)
     p.set_defaults(func=_cmd_bertrand)
 
     p = sub.add_parser("tree-verify", help="non-commutation search in the tree group")
     p.add_argument("depth", type=int)
     p.add_argument("--sample", type=int, default=None)
-    common(p)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_tree_verify)
 
     p = sub.add_parser("curve", help="orbit curves: points and search")
@@ -585,9 +558,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", help="evaluate the right-hand side at x")
     p.add_argument("--vector", help="progression support like '{2,3}'")
     p.add_argument("--search", type=int, help="naive point search height")
-    common(p)
     p.set_defaults(func=_cmd_curve)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("json", "table"), default="json")
     return parser
 
 

@@ -27,7 +27,7 @@ from .dynamics import (
     is_pcf,
 )
 from .indexsets import _support_of
-from .primes import primes_from
+from .primes import is_probable_prime, primes_from
 from .squares import (
     QuadElement,
     is_perfect_square,
@@ -38,6 +38,11 @@ from .squares import (
 )
 
 Rational = Union[int, Fraction]
+
+DEFAULT_ORBIT_BUDGET = 24  # largest support index contained_in_Mv accepts
+DEFAULT_PRIME_BOUND = 100  # odd primes scanned by the local ramification test
+DEFAULT_DIM_N = 12  # orbit values spanned by the faithful-node certificate
+_BACKWARD_DEPTH = 8  # backward-orbit levels walked for a quadratic field
 
 
 class GroupId(Enum):
@@ -56,7 +61,7 @@ class GroupId(Enum):
         return self is not GroupId.D8
 
 
-def contained_in_Mv(pair: QuadPair, v, orbit_budget: int = 24) -> bool:
+def contained_in_Mv(pair: QuadPair, v, orbit_budget: int = DEFAULT_ORBIT_BUDGET) -> bool:
     """Whether the arboreal image lies in the maximal subgroup named by v.
 
     Equivalent to the product of the adjusted-orbit values over the support
@@ -220,23 +225,25 @@ def _degrees_mod(c: Fraction, beta: Fraction, level: int, p: int) -> Optional[Li
     return None if g is None else polys.factor_degrees(g, p)
 
 
-def good_primes(pair: QuadPair, level: int, count: int, start: int = 3) -> List[int]:
+def good_primes(pair: QuadPair, level: int, count: int) -> List[int]:
     """First `count` odd primes of good reduction for the level polynomial.
 
     The level polynomial of the normal form (x^2 + c, beta) is f^level(x) -
     beta.  p is good when it divides no denominator of its coefficients (at
     level >= 2, p does not divide den(c) * den(beta); at level 1, den(c - beta))
-    and the polynomial is square-free mod p.  Raises DegeneracyError when an adjusted-orbit value vanishes by `level`.
+    and the polynomial is square-free mod p.  Raises ValueError for a negative
+    count and DegeneracyError when an adjusted-orbit value vanishes by `level`.
     """
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     c, beta = _nondegenerate_normal_form(pair, level)
     found: List[int] = []
-    for p in primes_from(max(3, start)):
-        if _degrees_mod(c, beta, level, p) is None:
-            continue
-        found.append(p)
-        if len(found) == count:
-            return found
-    raise AssertionError("unreachable: primes are infinite")
+    primes = primes_from(3)
+    while len(found) < count:
+        p = next(primes)
+        if _degrees_mod(c, beta, level, p) is not None:
+            found.append(p)
+    return found
 
 
 def frobenius_sample(pair: QuadPair, level: int, primes: Sequence[int]) -> FrobeniusReport:
@@ -300,8 +307,8 @@ def poonen_check(c: Rational, alpha: Rational, p: int) -> PoonenResult:
     an infinitely ramified pro-2 extension of Q_p is non-abelian.
     """
     c, alpha = Fraction(c), Fraction(alpha)
-    if p == 2 or p < 2:
-        raise ValueError("the test needs an odd prime")
+    if p == 2 or not is_probable_prime(p):
+        raise ValueError(f"the test needs an odd prime, got {p}")
     c_mod = polys.reduce_mod(c, p)
     if c_mod is None:
         raise ValueError("the test needs v_p(c) >= 0")
@@ -329,7 +336,7 @@ def poonen_check(c: Rational, alpha: Rational, p: int) -> PoonenResult:
 
 
 def nonabelian_prime_search(
-    pair: QuadPair, bound: int = 100
+    pair: QuadPair, bound: int = DEFAULT_PRIME_BOUND
 ) -> Optional[Tuple[int, str, Fraction]]:
     """First odd prime <= bound where the local test fires, scanning the
     normal-form basepoint and, when the first preimage is rational, both
@@ -489,16 +496,16 @@ def replay_certificate(cert: Certificate) -> bool:
     return cert.replay()
 
 
-def _quad_field_search(c: Fraction, beta: Fraction, depth: int) -> Optional[QuadFieldD8Cert]:
-    """Walk the rational backward orbit of beta; at the first irrational
-    preimage sqrt(t - c) test the two shifted orbit values for independence
-    modulo squares in Q(sqrt(d)).
+def _quad_field_search(c: Fraction, beta: Fraction) -> Optional[QuadFieldD8Cert]:
+    """Walk the rational backward orbit of beta, _BACKWARD_DEPTH levels deep;
+    at the first irrational preimage sqrt(t - c) test the two shifted orbit
+    values for independence modulo squares in Q(sqrt(d)).
     """
     c1_raw = -c
     c2_raw = c * c + c
     queue: List[Tuple[Fraction, Tuple[Fraction, ...]]] = [(beta, (beta,))]
     visited = {beta}
-    for _ in range(depth):
+    for _ in range(_BACKWARD_DEPTH):
         next_queue: List[Tuple[Fraction, Tuple[Fraction, ...]]] = []
         for t, chain in queue:
             radicand = t - c
@@ -530,9 +537,8 @@ def _quad_field_search(c: Fraction, beta: Fraction, depth: int) -> Optional[Quad
 
 def classify_abelian(
     pair: QuadPair,
-    prime_bound: int = 100,
-    dim_N: int = 12,
-    backward_depth: int = 8,
+    prime_bound: int = DEFAULT_PRIME_BOUND,
+    dim_N: int = DEFAULT_DIM_N,
 ) -> AbelianVerdict:
     """Decide whether the dynamical Galois group of the pair is abelian.
 
@@ -543,8 +549,11 @@ def classify_abelian(
     replayable certificate it finds, trying in order: the level-2 D8
     criterion, the local ramification test, the level-0 faithful-node
     dimension argument, and the level-2 computation over a quadratic field
-    reached through the rational backward orbit.  No step factors an integer,
-    so the verdict never depends on a factoring budget.
+    reached through the rational backward orbit.  `prime_bound` caps the
+    odd primes of the ramification test and `dim_N` the orbit values of the
+    dimension argument; the backward orbit is walked _BACKWARD_DEPTH levels
+    deep.  No step factors an integer, so the verdict never depends on a
+    factoring budget.
     """
     c, beta = pair.normal_form()
     if is_exceptional(pair):
@@ -589,7 +598,7 @@ def classify_abelian(
                     )
 
     # 4. level-2 computation over a quadratic field from the backward orbit
-    cert4 = _quad_field_search(c, beta, backward_depth)
+    cert4 = _quad_field_search(c, beta)
     if cert4 is not None:
         return AbelianVerdict("nonabelian", None, cert4, "quadratic-field-level2", None)
 

@@ -4,9 +4,10 @@ Orbit values double in bit length per iteration step, so unbudgeted
 factorization is a hang.  Every factorization here counts elementary
 operations (trial probes, rho iterations) against an explicit budget and
 raises BudgetExceeded when the bound is hit; callers then leave the factored
-output out.  The large-factor splitter is randomized but seeded, so parallel
-and repeated runs are reproducible.  Only factorize spends a budget:
-smallest_prime_factor stops at trial division and a primality test.
+output out.  The large-factor splitter draws its random starts from a
+generator keyed by n alone, so a factorization of n spends the same budget
+in every run.  Only factorize spends a budget: smallest_prime_factor stops
+at trial division and a primality test.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from typing import Dict, Iterator, List, Optional
 TRIAL_LIMIT = 10**6
 DEFAULT_BUDGET = 2_000_000
 
-# Deterministic Miller-Rabin witness set for n < 3.3 * 10^24; for larger n the
-# same witnesses make the test a (very strong) probable-prime check.
+# Miller-Rabin witnesses, also the small primes probed first: deterministic
+# for n < 3,317,044,064,679,887,385,961,981; for larger n the same witnesses
+# make the test a (very strong) probable-prime check.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 class BudgetExceeded(Exception):
@@ -56,7 +57,7 @@ def is_probable_prime(n: int) -> bool:
     """Miller-Rabin; deterministic below 3.3e24, overwhelmingly safe above."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -92,10 +93,10 @@ class _Budget:
             raise BudgetExceeded("factorization budget exhausted")
 
 
-def _brent_rho(n: int, seed: int, budget: _Budget) -> int:
+def _brent_rho(n: int, budget: _Budget) -> int:
     """A nontrivial factor of odd composite n (Brent's cycle variant)."""
     for attempt in range(64):
-        rng = random.Random(f"{n}:{seed}:{attempt}")
+        rng = random.Random(f"{n}:0:{attempt}")  # fixed key: n always costs the same
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
         m = 128
@@ -127,7 +128,7 @@ def _brent_rho(n: int, seed: int, budget: _Budget) -> int:
     raise BudgetExceeded("rho failed to split %d" % n)
 
 
-def _split(n: int, out: Dict[int, int], mult: int, seed: int, budget: _Budget) -> None:
+def _split(n: int, out: Dict[int, int], mult: int, budget: _Budget) -> None:
     if n == 1:
         return
     if is_probable_prime(n):
@@ -135,11 +136,11 @@ def _split(n: int, out: Dict[int, int], mult: int, seed: int, budget: _Budget) -
         return
     root = math.isqrt(n)
     if root * root == n:
-        _split(root, out, 2 * mult, seed, budget)
+        _split(root, out, 2 * mult, budget)
         return
-    d = _brent_rho(n, seed, budget)
-    _split(d, out, mult, seed, budget)
-    _split(n // d, out, mult, seed, budget)
+    d = _brent_rho(n, budget)
+    _split(d, out, mult, budget)
+    _split(n // d, out, mult, budget)
 
 
 def _trial_divide(n: int, out: Dict[int, int], meter: _Budget, first: bool = False) -> int:
@@ -165,17 +166,17 @@ def _trial_divide(n: int, out: Dict[int, int], meter: _Budget, first: bool = Fal
     return n
 
 
-def factorize(n: int, budget: int = DEFAULT_BUDGET, seed: int = 0) -> Dict[int, int]:
+def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Dict[int, int]:
     """Prime factorization {p: e} of |n|; n must be nonzero.
 
-    Trial division up to 10^6, then seeded Brent rho on what remains.  Raises
+    Trial division up to 10^6, then Brent rho on what remains.  Raises
     BudgetExceeded once the operation count is spent.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
     meter = _Budget(budget)
     out: Dict[int, int] = {}
-    _split(_trial_divide(abs(n), out, meter), out, 1, seed, meter)
+    _split(_trial_divide(abs(n), out, meter), out, 1, meter)
     return out
 
 

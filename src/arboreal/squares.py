@@ -66,10 +66,11 @@ def _frac(q: Rational) -> Fraction:
     return q if isinstance(q, Fraction) else Fraction(q)
 
 
-def square_class(q: Rational, budget: int = DEFAULT_BUDGET, seed: int = 0) -> SquareClass:
+def square_class(q: Rational, budget: int = DEFAULT_BUDGET) -> SquareClass:
     """Reduce q (nonzero) modulo rational squares.
 
-    Raises BudgetExceeded when factoring numerator*denominator is too costly.
+    Factors numerator*denominator within `budget` operations (see
+    primes.factorize) and raises BudgetExceeded when that is too costly.
     Span dimensions never need this: see span_dimension.
     """
     q = _frac(q)
@@ -77,7 +78,7 @@ def square_class(q: Rational, budget: int = DEFAULT_BUDGET, seed: int = 0) -> Sq
         raise ValueError("0 has no square class")
     n = q.numerator * q.denominator
     sign = 1 if n > 0 else -1
-    odd = [p for p, e in factorize(abs(n), budget, seed).items() if e % 2]
+    odd = [p for p, e in factorize(abs(n), budget).items() if e % 2]
     return SquareClass(sign, tuple(sorted(odd)))
 
 

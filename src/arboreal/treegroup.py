@@ -23,6 +23,7 @@ MAX_VERIFY_DEPTH = 16
 # verify_noncommutation's default sample is DEFAULT_SAMPLE_WORK >> depth pairs
 # (a fixed pairs-times-leaves budget): 100,000 at depth 4, 24 at depth 16.
 DEFAULT_SAMPLE_WORK = 100_000 << 4
+DEFAULT_SEED = 0
 
 
 class CapExceeded(Exception):
@@ -289,7 +290,7 @@ def restrict(g: TreeAut, node: str) -> TreeAut:
 
 
 def verify_noncommutation(
-    depth: int, sample: Optional[int] = None, seed: int = 0
+    depth: int, sample: Optional[int] = None, seed: int = DEFAULT_SEED
 ) -> Tuple[List[Tuple[TreeAut, TreeAut]], int]:
     """Search for commuting pairs that the half-swap criterion forbids.
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from conftest import factor_span_dimension
 
-from arboreal.cli import RunConfig, run_survey
+from arboreal.cli import run_survey
 from arboreal.curves import construct_point, naive_point_search
 from arboreal.dynamics import DegeneracyError, PCF, QuadPair, adjusted_orbit, is_pcf, orbit_valuations
 from arboreal.galois import (
@@ -61,7 +61,7 @@ class Budget:
 def test_criterion_1_abelian_survey_grid():
     """The height-5 grid marks Abelian exactly the seven listed pairs."""
     with Budget("1 abelian-survey", 60):
-        result = run_survey(5, 5, RunConfig())
+        result = run_survey(5, 5)
         abelian = {(r["c"], r["alpha"]) for r in result["abelian_pairs"]}
         assert abelian == {
             ("0", "1"),

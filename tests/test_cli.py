@@ -1,6 +1,9 @@
+import argparse
 import json
 
-from arboreal.cli import main, rationals_of_height
+import pytest
+
+from arboreal.cli import build_parser, main, rationals_of_height
 from arboreal.primes import primes_from
 
 
@@ -19,6 +22,8 @@ def test_rationals_of_height():
     h1 = rationals_of_height(1)
     assert [str(v) for v in h1] == ["-1", "0", "1"]
     assert len(rationals_of_height(5)) == 39
+    with pytest.raises(ValueError):
+        rationals_of_height(-1)
 
 
 def test_classify_abelian_pair(capsys):
@@ -52,8 +57,8 @@ def test_classify_three_field_pair(capsys):
 
 
 def test_classify_deterministic(capsys):
-    _, out1 = run(capsys, "classify", "5,1", "--seed", "0")
-    _, out2 = run(capsys, "classify", "5,1", "--seed", "0")
+    _, out1 = run(capsys, "classify", "5,1")
+    _, out2 = run(capsys, "classify", "5,1")
     assert out1 == out2
 
 
@@ -75,10 +80,10 @@ def test_survey_height_zero_is_the_exceptional_pair(capsys):
 
 def test_classify_budget_exhaustion_exit_code(capsys):
     # c2 is a huge perfect square, so level 2 works over Q(sqrt(c1)); that
-    # field is read off num*den of c1 without factoring, so even a tiny
-    # factoring budget leaves the record complete
+    # field is read off num*den of c1 without factoring, so the record is
+    # complete and classify takes no factoring budget at all
     s = 10**9 + 7
-    code, records = run_json(capsys, "classify", f"0,-{s * s}", "--factor-budget", "10")
+    code, records = run_json(capsys, "classify", f"0,-{s * s}")
     assert code == 0
     rec = records[0]
     assert rec["level2"] == "V4"
@@ -295,8 +300,80 @@ def test_environment_defaults(monkeypatch, capsys):
 
 def test_bad_environment_variable_is_input_error(monkeypatch, capsys):
     monkeypatch.setenv("ARBOREAL_SEED", "abc")
-    assert main(["orbit", "-1,0"]) == 1
+    assert main(["tree-verify", "3"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("arboreal: input error: ")
     assert "ARBOREAL_SEED" in captured.err
+    # only tree-verify reads ARBOREAL_SEED
+    assert main(["orbit", "-1,0"]) == 0
+
+
+# Every subcommand's options and arguments: each takes --format, and the
+# numeric settings only where it reads them.
+SUBCOMMAND_OPTIONS = {
+    "classify": {"pairs", "--csv", "--prime-bound", "--dim-n"},
+    "survey": {"--c-height", "--alpha-height", "--prime-bound", "--dim-n"},
+    "orbit": {"pair", "-N", "--n"},
+    "pcf": {"pairs"},
+    "contain": {"pair", "vector", "--orbit-budget"},
+    "abdim": {"pair", "-N", "--n", "--factor-budget"},
+    "group2": {"pair", "--frobenius"},
+    "valuations": {"-c", "-p", "-N", "--n"},
+    "poonen": {"-c", "--alpha", "-p"},
+    "indexset": {"--family", "--family-file", "--progression", "--span", "--coprime"},
+    "bertrand": {"--terms", "--upto", "--check-coprime"},
+    "tree-verify": {"depth", "--sample", "--seed"},
+    "curve": {"pair", "--k", "--l", "--i0", "--x", "--vector", "--search"},
+}
+
+
+def test_each_subcommand_takes_only_the_settings_it_reads():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    found = {
+        name: {s for a in p._actions for s in a.option_strings or [a.dest]} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert found == {name: opts | {"--format"} for name, opts in SUBCOMMAND_OPTIONS.items()}
+
+
+def test_unread_setting_is_input_error(capsys):
+    assert main(["orbit", "-1,0", "--seed", "1"]) == 1
+    assert main(["classify", "1,0", "--factor-budget", "10"]) == 1
+    assert main(["abdim", "1,0", "--dim-n", "3"]) == 1
+    assert main(["contain", "1,0", "{1}", "--prime-bound", "5"]) == 1
+    assert main(["tree-verify", "3", "--orbit-budget", "2"]) == 1
+    assert "unrecognized arguments: --orbit-budget 2" in capsys.readouterr().err
+
+
+def test_survey_negative_height_is_input_error(capsys):
+    assert main(["survey", "--c-height", "-1", "--alpha-height", "2"]) == 1
+    assert main(["survey", "--c-height", "2", "--alpha-height", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "height must be nonnegative" in captured.err
+
+
+def test_group2_negative_frobenius_is_input_error(capsys):
+    assert main(["group2", "1,0", "--frobenius", "-3"]) == 1
+    assert "nonnegative" in capsys.readouterr().err
+    code, records = run_json(capsys, "group2", "1,0", "--frobenius", "0")
+    assert code == 0 and "frobenius" not in records[0]
+
+
+def test_poonen_composite_p_is_input_error(capsys):
+    assert main(["poonen", "-c", "-4", "--alpha", "0", "-p", "15"]) == 1
+    assert main(["poonen", "-c", "1/3", "--alpha", "1", "-p", "9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "odd prime, got 9" in captured.err
+
+
+def test_negative_inputs_echo_without_padding(capsys):
+    code, records = run_json(capsys, "pcf", "-2")
+    assert code == 0 and records[0]["input"] == "-2"
+    assert run(capsys, "pcf", "-2", "--format", "table") == (0, "-2\tpcf\n")
+    code, records = run_json(capsys, "poonen", "-c", "-1", "--alpha", "-1/3", "-p", "3")
+    assert code == 0
+    assert (records[0]["c"], records[0]["alpha"]) == ("-1", "-1/3")

@@ -189,6 +189,13 @@ def test_good_primes_degenerate_level_raises():
     assert len(good_primes(pair, 2, 5)) == 5
 
 
+def test_good_primes_count_zero_and_negative():
+    pair = QuadPair.from_normal(1, 0)
+    assert good_primes(pair, 2, 0) == []
+    with pytest.raises(ValueError):
+        good_primes(pair, 2, -3)
+
+
 def test_level2_agrees_with_frobenius():
     for pair in nondegenerate_pairs(25, 23, span=6):
         group = level2_galois(pair)
@@ -215,6 +222,9 @@ def test_poonen_preconditions():
         poonen_check(1, 1, 2)
     with pytest.raises(ValueError):
         poonen_check(F(1, 3), 1, 3)
+    for composite in (1, 9, 15, 21):
+        with pytest.raises(ValueError, match="odd prime"):
+            poonen_check(-4, 0, composite)
 
 
 def test_nonabelian_prime_search_examples():
