@@ -155,10 +155,8 @@ def naive_point_search(curve: CurveSpec, H: int) -> List[Tuple[Fraction, Fractio
             y = sqrt_exact(val)
             if y is None:
                 continue
-            if y == 0:
-                points.append((x, y))
-            else:
-                points.append((x, y))
+            points.append((x, y))
+            if y:
                 points.append((x, -y))
     points.sort()
     return points

@@ -6,6 +6,11 @@ orbit span modulo squares, the exact level-2 splitting-field group, a
 Frobenius cycle-type sampler used only as a cross-validation oracle, a local
 infinite-ramification test at odd primes, and the abelian-pair classifier
 with replayable certificates.
+
+The sampler reads good reduction off the adjusted orbit: an odd prime p is
+good for f^n(x) - beta exactly when c_{1,beta}, ..., c_{n,beta} are p-adic
+units, by the discriminant formula for quadratic iterates (R. Jones, J.
+London Math. Soc. 78, 2008).
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from . import polys
@@ -211,39 +217,37 @@ class FrobeniusReport:
     compatible: Optional[FrozenSet[GroupId]]
 
 
-def _nondegenerate_normal_form(pair: QuadPair, level: int) -> Tuple[Fraction, Fraction]:
-    # A vanishing c_{n,beta} with n <= level gives the level polynomial a
-    # repeated root, so it is square-free modulo no prime and the search for
-    # good primes would never end.
-    adjusted_orbit(pair, level).require_nondegenerate(level)
-    return pair.normal_form()
+def _level_data(pair: QuadPair, level: int) -> Tuple[Fraction, Fraction, Tuple[Fraction, ...]]:
+    """(c, beta, (c_{1,beta}, ..., c_{level,beta})); DegeneracyError when one
+    vanishes, since the level polynomial is then square-free modulo no prime.
+    """
+    orbit = adjusted_orbit(pair, level)
+    orbit.require_nondegenerate(level)
+    c, beta = pair.normal_form()
+    return c, beta, orbit.adjusted
 
 
-def _degrees_mod(c: Fraction, beta: Fraction, level: int, p: int) -> Optional[List[int]]:
-    """Factor degrees of f^level(x) - beta modulo p, or None on bad reduction."""
-    g = polys.level_poly(c, beta, level, p)
-    return None if g is None else polys.factor_degrees(g, p)
+def _good_reduction(adjusted: Sequence[Fraction], p: int) -> bool:
+    """Whether the odd prime p is good: every adjusted value is a p-adic unit."""
+    return all(v.numerator % p and v.denominator % p for v in adjusted)
 
 
 def good_primes(pair: QuadPair, level: int, count: int) -> List[int]:
     """First `count` odd primes of good reduction for the level polynomial.
 
-    The level polynomial of the normal form (x^2 + c, beta) is f^level(x) -
-    beta.  p is good when it divides no denominator of its coefficients (at
-    level >= 2, p does not divide den(c) * den(beta); at level 1, den(c - beta))
-    and the polynomial is square-free mod p.  Raises ValueError for a negative
-    count and DegeneracyError when an adjusted-orbit value vanishes by `level`.
+    p is good when it divides no denominator of f^level(x) - beta, for the
+    normal form (x^2 + c, beta), and that polynomial is square-free mod p.
+    Its discriminant is +-2^e prod_{i <= level} c_{i,beta}^(2^(level-i))
+    (Jones 2008), so an odd p is good exactly when c_{1,beta}, ...,
+    c_{level,beta} are p-adic units: nothing is built or factored.  Raises
+    ValueError for a negative count and DegeneracyError when an
+    adjusted-orbit value vanishes by `level`.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
-    c, beta = _nondegenerate_normal_form(pair, level)
-    found: List[int] = []
-    primes = primes_from(3)
-    while len(found) < count:
-        p = next(primes)
-        if _degrees_mod(c, beta, level, p) is not None:
-            found.append(p)
-    return found
+    _, _, adjusted = _level_data(pair, level)
+    good = (p for p in primes_from(3) if _good_reduction(adjusted, p))
+    return list(islice(good, count))
 
 
 def frobenius_sample(pair: QuadPair, level: int, primes: Sequence[int]) -> FrobeniusReport:
@@ -254,21 +258,18 @@ def frobenius_sample(pair: QuadPair, level: int, primes: Sequence[int]) -> Frobe
     cycle-type set of some flavor of the true group.  The compatible set
     collects the level-2 groups with a flavor matching exactly; at level 3 no
     group catalogue is attached (sampling evidence only).  Never used as
-    ground truth.  The prime 2 and primes of bad reduction (see good_primes)
-    are skipped.
+    ground truth.  The prime 2 and the odd primes at which some c_{n,beta},
+    n <= level, is not a p-adic unit (bad reduction, Jones 2008) are skipped.
     """
     if level not in (2, 3):
         raise ValueError("sampling supports levels 2 and 3")
-    c, beta = _nondegenerate_normal_form(pair, level)
+    c, beta, adjusted = _level_data(pair, level)
     partitions: Dict[Tuple[int, ...], int] = {}
     used: List[int] = []
     for p in primes:
-        if p == 2:
+        if p == 2 or not _good_reduction(adjusted, p):
             continue
-        degs = _degrees_mod(c, beta, level, p)
-        if degs is None:
-            continue
-        key = tuple(degs)
+        key = tuple(polys.factor_degrees(polys.level_poly(c, beta, level, p), p))
         partitions[key] = partitions.get(key, 0) + 1
         used.append(p)
     if not used:
@@ -553,8 +554,10 @@ def classify_abelian(
     odd primes of the ramification test and `dim_N` the orbit values of the
     dimension argument; the backward orbit is walked _BACKWARD_DEPTH levels
     deep.  No step factors an integer, so the verdict never depends on a
-    factoring budget.
+    factoring budget.  dim_N < 1 or prime_bound < 0 is a ValueError.
     """
+    if dim_N < 1 or prime_bound < 0:
+        raise ValueError(f"need dim_N >= 1 and prime_bound >= 0, got {dim_N} and {prime_bound}")
     c, beta = pair.normal_form()
     if is_exceptional(pair):
         return AbelianVerdict(
@@ -585,17 +588,13 @@ def classify_abelian(
         return AbelianVerdict("nonabelian", None, cert2, "local-ramification", None)
 
     # 3. faithful root plus a >= 2-dimensional orbit span
-    if c1 != 0 and sqrt_exact(c1) is None and not in_post_critical_orbit(pair):
-        values: List[Fraction] = []
+    if sqrt_exact(c1) is None and not in_post_critical_orbit(pair):
         orbit = adjusted_orbit(pair, dim_N)
-        if orbit.degeneracy_index is None:
-            for n in range(2, dim_N + 1):
-                values = list(orbit.adjusted[:n])
-                if span_dimension(values) >= 2:
-                    cert3 = FaithfulNode2DimCert(c1, tuple(values))
-                    return AbelianVerdict(
-                        "nonabelian", None, cert3, "level0-faithful-dimension", None
-                    )
+        for n in range(2, dim_N + 1):
+            values = orbit.adjusted[:n]
+            if span_dimension(values) >= 2:
+                cert3 = FaithfulNode2DimCert(c1, values)
+                return AbelianVerdict("nonabelian", None, cert3, "level0-faithful-dimension", None)
 
     # 4. level-2 computation over a quadratic field from the backward orbit
     cert4 = _quad_field_search(c, beta)

@@ -79,8 +79,12 @@ class IndexVector:
         return all(a == b for a, b in zip(self.support, other.support))
 
     def __hash__(self) -> int:
+        # Equal supports hash equal in either storage; a range-backed
+        # interval hashes without building its tuple.
         s = self.support
-        return hash((len(s), s[0] if len(s) else 0, s[-1] if len(s) else 0))
+        if s and s[-1] - s[0] + 1 == len(s):
+            return hash((s[0], len(s)))
+        return hash(tuple(s))
 
     def __repr__(self) -> str:
         if len(self.support) > 8:
@@ -95,14 +99,11 @@ class IndexFamily:
     members: List[IndexVector] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        buckets: dict = {}
+        seen = set()
         for m in self.members:
-            buckets.setdefault(hash(m), []).append(m)
-        for group in buckets.values():
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    if group[i] == group[j]:
-                        raise ValueError(f"duplicate member {group[i]!r}")
+            if m in seen:
+                raise ValueError(f"duplicate member {m!r}")
+            seen.add(m)
 
     def __len__(self) -> int:
         return len(self.members)

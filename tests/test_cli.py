@@ -355,6 +355,16 @@ def test_survey_negative_height_is_input_error(capsys):
     assert "height must be nonnegative" in captured.err
 
 
+def test_bad_classifier_settings_are_input_errors(capsys):
+    # each fails before any classifier step, whether or not a pair reaches it
+    assert main(["survey", "--c-height", "1", "--alpha-height", "1", "--dim-n", "-1"]) == 1
+    assert main(["survey", "--c-height", "2", "--alpha-height", "2", "--dim-n", "-1"]) == 1
+    assert main(["classify", "1,0", "--prime-bound", "-5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "prime_bound >= 0" in captured.err
+
+
 def test_group2_negative_frobenius_is_input_error(capsys):
     assert main(["group2", "1,0", "--frobenius", "-3"]) == 1
     assert "nonnegative" in capsys.readouterr().err

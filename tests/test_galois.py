@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from arboreal import polys
 from arboreal.cli import rationals_of_height
 from arboreal.dynamics import DegeneracyError, QuadPair
 from arboreal.galois import (
@@ -187,6 +188,36 @@ def test_good_primes_degenerate_level_raises():
     with pytest.raises(DegeneracyError):
         frobenius_sample(pair, 3, [3, 5, 7])
     assert len(good_primes(pair, 2, 5)) == 5
+
+
+def test_good_primes_never_builds_or_factors(monkeypatch):
+    expected = good_primes(QuadPair.from_normal(1, 0), 3, 20)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("good_primes must not build or factor a polynomial")
+
+    monkeypatch.setattr("arboreal.polys.level_poly", refuse)
+    monkeypatch.setattr("arboreal.polys.factor_degrees", refuse)
+    assert good_primes(QuadPair.from_normal(1, 0), 3, 20) == expected
+    assert good_primes(QuadPair.from_normal(1, -3), 2, 5) == [3, 7, 11, 13, 17]
+
+
+def test_frobenius_sample_skips_explicit_bad_prime():
+    # (x^2 + 1, -3): c_{1,beta} = -4 and c_{2,beta} = 5, so 5 is bad at level 2
+    pair = QuadPair.from_normal(1, -3)
+    assert polys.factor_degrees(polys.level_poly(1, -3, 2, 5), 5) is None
+    report = frobenius_sample(pair, 2, [2, 3, 5, 7, 11])
+    assert report.primes == (3, 7, 11)
+    assert sum(report.partitions.values()) == 3
+
+
+def test_classify_abelian_rejects_bad_settings():
+    for pair in (QuadPair.from_normal(0, 0), QuadPair.from_normal(1, 0)):
+        with pytest.raises(ValueError):
+            classify_abelian(pair, dim_N=0)
+        with pytest.raises(ValueError):
+            classify_abelian(pair, prime_bound=-5)
+    assert classify_abelian(QuadPair.from_normal(1, 0), prime_bound=0, dim_N=1).is_abelian is False
 
 
 def test_good_primes_count_zero_and_negative():

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from arboreal.indexsets import (
@@ -114,3 +116,19 @@ def test_unbounded_evidence_rejects_flat_families():
 def test_family_rejects_duplicates():
     with pytest.raises(ValueError):
         IndexFamily([IndexVector({1, 2}), IndexVector({2, 1})])
+    # range-backed against tuple-backed storage of the same support
+    with pytest.raises(ValueError):
+        IndexFamily([IndexVector.prefix(3000), IndexVector({7}), IndexVector(list(range(1, 3001)))])
+    with pytest.raises(ValueError):
+        IndexFamily([IndexVector(range(2, 4000, 2)), IndexVector(list(range(2, 4000, 2)))])
+
+
+def test_family_duplicate_check_is_linear():
+    # every member shares its length, first and last index
+    members = [IndexVector({1, i, 3002}) for i in range(2, 3002)]
+    start = time.perf_counter()
+    assert len(IndexFamily(members)) == 3000
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValueError):
+        IndexFamily(members + [IndexVector({1, 1500, 3002})])
+
