@@ -390,12 +390,12 @@ def _cmd_indexset(args) -> int:
 
 
 def _cmd_bertrand(args) -> int:
-    if args.upto:
+    if args.upto is not None:
+        if args.upto < 1:
+            raise ValueError(f"--upto must be positive, got {args.upto}")
         terms = list(range(1, args.upto + 1))
-    elif args.terms:
-        terms = [int(t) for t in args.terms.split(",")]
     else:
-        raise ValueError("give --terms or --upto")
+        terms = [int(t) for t in args.terms.split(",")]
     built = indexsets.bertrand_family(terms)
     record = {
         "terms": len(terms),
@@ -539,8 +539,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_indexset)
 
     p = sub.add_parser("bertrand", help="prefix family with prime witnesses")
-    p.add_argument("--terms", help="comma-separated strictly increasing a_n")
-    p.add_argument("--upto", type=int, help="use a_n = n for n <= UPTO")
+    terms = p.add_mutually_exclusive_group(required=True)
+    terms.add_argument("--terms", help="comma-separated strictly increasing a_n")
+    terms.add_argument("--upto", type=int, help="use a_n = n for n <= UPTO")
     p.add_argument("--check-coprime", action="store_true")
     p.set_defaults(func=_cmd_bertrand)
 

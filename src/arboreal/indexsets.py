@@ -17,7 +17,10 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from .f2 import F2Vector, in_span, index_label
 from .primes import sieve
 
-_SMALL = 1024
+
+def _is_interval(support: Sequence[int]) -> bool:
+    """Whether a sorted support of distinct indices is {first, ..., last}."""
+    return bool(support) and support[-1] - support[0] + 1 == len(support)
 
 
 def _support_of(v) -> Tuple[int, ...]:
@@ -27,7 +30,7 @@ def _support_of(v) -> Tuple[int, ...]:
 
 
 class IndexVector:
-    """Finite sorted set of positive integers; supports range-backed storage
+    """Finite sorted set of positive integers; a range stays range-backed,
     so prefix vectors {1..n} stay O(1) in memory."""
 
     __slots__ = ("support",)
@@ -36,7 +39,7 @@ class IndexVector:
         if isinstance(support, range):
             if support.step < 1 or (len(support) and support[0] < 1):
                 raise ValueError("support must be increasing positive integers")
-            seq: Sequence[int] = tuple(support) if len(support) <= _SMALL else support
+            seq: Sequence[int] = support
         else:
             seq = tuple(sorted(set(int(i) for i in support)))
             if seq and seq[0] < 1:
@@ -82,9 +85,7 @@ class IndexVector:
         # Equal supports hash equal in either storage; a range-backed
         # interval hashes without building its tuple.
         s = self.support
-        if s and s[-1] - s[0] + 1 == len(s):
-            return hash((s[0], len(s)))
-        return hash(tuple(s))
+        return hash((s[0], len(s)) if _is_interval(s) else tuple(s))
 
     def __repr__(self) -> str:
         if len(self.support) > 8:
@@ -169,7 +170,18 @@ class MCoprimeReport:
 
 
 def _witness_valid(i: int, support: Sequence[int], M: int) -> bool:
-    """gcd(i, j) = 1 for every j in the support above M other than i."""
+    """gcd(i, j) = 1 for every j in the support above M other than i.
+
+    On an interval [first, last] the others above M fill [L, last], with
+    L = max(first, M + 1), so i > M is valid iff i = 1 or its smallest prime
+    factor exceeds b = max(i - L, last - i) (the nearest multiples of p | i
+    are i - p and i + p): trial division up to min(b, isqrt(i)), then i > b
+    in case i is prime.  Other supports take the gcd passes, the tests'
+    reference for this rule.
+    """
+    if _is_interval(support):
+        b = max(i - max(support[0], M + 1), support[-1] - i)
+        return i == 1 or (i > b and all(i % d for d in range(2, min(b, math.isqrt(i)) + 1)))
     # Cheap pass: small shared factors show up against early support entries.
     scanned = 0
     for j in support:

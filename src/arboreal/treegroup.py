@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .indexsets import _support_of
 
@@ -109,37 +109,48 @@ def act(g: TreeAut, leaf: str) -> str:
     return format(image, f"0{g.depth}b")
 
 
-def _level_perms(g: TreeAut) -> List[List[int]]:
-    """perms[m][j] = image under g of the m-bit prefix j, for m = 0..depth-1."""
-    perms: List[List[int]] = [[0]]
-    for m in range(1, g.depth):
-        prev = perms[m - 1]
-        mask = g.levels[m - 1]
-        cur = [0] * (1 << m)
-        for j in range(1 << m):
-            parent, bit = j >> 1, j & 1
-            cur[j] = (prev[parent] << 1) | (bit ^ ((mask >> parent) & 1))
-        perms.append(cur)
-    return perms
+def _level_perms(levels: Sequence[int]) -> Iterator[List[int]]:
+    """Yield perm[j] = image of the m-bit prefix j for m = 0, 1, ..., each
+    built only when asked for, from the level masks of a portrait."""
+    perm = [0]
+    yield perm
+    for mask in levels[:-1]:
+        nxt: List[int] = []
+        for parent, image in enumerate(perm):
+            flip = (mask >> parent) & 1
+            nxt += ((image << 1) | flip, (image << 1) | (flip ^ 1))
+        perm = nxt
+        yield perm
+
+
+def _compose_level(gmask: int, hmask: int, hperm: List[int]) -> int:
+    """Level mask of g after h, from their masks and h's prefix permutation."""
+    for j, image in enumerate(hperm):
+        if (gmask >> image) & 1:
+            hmask ^= 1 << j
+    return hmask
 
 
 def compose(g: TreeAut, h: TreeAut) -> TreeAut:
     """g after h: label at node w is label_h(w) XOR label_g(h(w))."""
     if g.depth != h.depth:
         raise ValueError("depth mismatch")
-    hperms = _level_perms(h)
-    levels = []
-    for k in range(1, g.depth + 1):
-        hmask = h.levels[k - 1]
-        gmask = g.levels[k - 1]
-        perm = hperms[k - 1]
-        mask = 0
-        for j in range(1 << (k - 1)):
-            bit = ((hmask >> j) & 1) ^ ((gmask >> perm[j]) & 1)
-            if bit:
-                mask |= 1 << j
-        levels.append(mask)
-    return TreeAut(g.depth, tuple(levels))
+    parts = zip(g.levels, h.levels, _level_perms(h.levels))
+    return TreeAut(g.depth, tuple(_compose_level(gm, hm, perm) for gm, hm, perm in parts))
+
+
+def _commute(s: Sequence[int], t: Sequence[int]) -> bool:
+    """Whether the portraits with level masks s and t commute.
+
+    Compares level k of s after t and of t after s, extending both prefix
+    permutations one level at a time and stopping at the first difference.
+    """
+    levels = zip(s, t, _level_perms(s), _level_perms(t))
+    next(levels)  # level 1 of either product is s_1 XOR t_1
+    for sm, tm, sperm, tperm in levels:
+        if _compose_level(sm, tm, tperm) != _compose_level(tm, sm, sperm):
+            return False
+    return True
 
 
 def inverse(g: TreeAut) -> TreeAut:
@@ -195,16 +206,17 @@ def in_Mv(g: TreeAut, v) -> bool:
     return acc == 0
 
 
-def _portraits(depth: int, masks: Iterable[int]) -> Iterator[TreeAut]:
-    """Unpack portrait masks: level k+1 holds the 2^k bits from bit 2^k - 1 on."""
+def _splitter(depth: int) -> Callable[[int], Tuple[int, ...]]:
+    """Split a portrait mask into level masks: level k+1 holds the 2^k bits
+    from bit 2^k - 1 on, so phi_1 is bit 0 of the portrait mask."""
     fields = [((1 << k) - 1, (1 << (1 << k)) - 1) for k in range(depth)]
-    for mask in masks:
-        yield TreeAut(depth, tuple([(mask >> shift) & width for shift, width in fields]))
+    return lambda mask: tuple([(mask >> shift) & width for shift, width in fields])
 
 
 def enumerate_group(depth: int) -> Iterator[TreeAut]:
     """All 2^(2^depth - 1) elements, in increasing portrait-mask order."""
-    return _portraits(depth, range(1 << ((1 << depth) - 1)))
+    split = _splitter(depth)
+    return (TreeAut(depth, split(mask)) for mask in range(1 << ((1 << depth) - 1)))
 
 
 @dataclass(frozen=True)
@@ -301,34 +313,36 @@ def verify_noncommutation(
     DEFAULT_SAMPLE_WORK >> depth of them.  Returns the
     counterexample list plus the number of ordered pairs scanned.  Raises
     ValueError for a negative sample or a depth outside 1..MAX_VERIFY_DEPTH.
+
+    Works on level masks: the characters are label parities, and _commute
+    decides commutation level by level, with `compose` as its test oracle.
+    A TreeAut is built only for a counterexample.
     """
     if not 1 <= depth <= MAX_VERIFY_DEPTH:
         raise ValueError(f"depth must be between 1 and {MAX_VERIFY_DEPTH}, got {depth}")
     if sample is not None and sample < 0:
         raise ValueError(f"sample must be nonnegative, got {sample}")
     counterexamples: List[Tuple[TreeAut, TreeAut]] = []
+    split, size = _splitter(depth), 1 << ((1 << depth) - 1)
 
-    def check(sigma: TreeAut, tau: TreeAut) -> None:
-        if phi(1, tau) != 1:
-            return
-        ab_sigma = abelianization(sigma)
-        if not any(ab_sigma) or ab_sigma == abelianization(tau):
-            return
-        if compose(sigma, tau) == compose(tau, sigma):
-            counterexamples.append((sigma, tau))
+    def check(s: Tuple[int, ...], t: Tuple[int, ...]) -> None:
+        ab_s = [m.bit_count() & 1 for m in s]
+        if any(ab_s) and ab_s != [m.bit_count() & 1 for m in t] and _commute(s, t):
+            counterexamples.append((TreeAut(depth, s), TreeAut(depth, t)))
 
     if sample is None and depth <= 3:
-        elements = list(enumerate_group(depth))
+        elements = [split(mask) for mask in range(size)]
+        taus = elements[1::2]  # the odd portrait masks, where phi_1 = 1
         for sigma in elements:
-            for tau in elements:
+            for tau in taus:
                 check(sigma, tau)
         return counterexamples, len(elements) ** 2
 
     if sample is None:
         sample = DEFAULT_SAMPLE_WORK >> depth
-    rng = random.Random(seed)
-    size = 1 << ((1 << depth) - 1)
-    elements = _portraits(depth, (rng.randrange(size) for _ in range(2 * sample)))
-    for sigma, tau in zip(elements, elements):  # consecutive draws, sigma first
-        check(sigma, tau)
+    draw = random.Random(seed).randrange
+    for _ in range(sample):
+        sigma, tau = draw(size), draw(size)  # consecutive draws, sigma first
+        if tau & 1:
+            check(split(sigma), split(tau))
     return counterexamples, sample

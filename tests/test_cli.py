@@ -237,6 +237,20 @@ def test_bertrand_command(capsys):
     assert rec["coprime_ok"] and rec["witnesses_match"]
 
 
+def test_bertrand_terms_and_upto_exclude_each_other(capsys):
+    assert main(["bertrand", "--terms", "2,3", "--upto", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --upto: not allowed with argument --terms" in captured.err
+
+
+def test_bertrand_upto_zero_is_named(capsys):
+    assert main(["bertrand", "--upto", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "arboreal: input error: --upto must be positive, got 0\n"
+
+
 def test_tree_verify_table(capsys):
     code, out = run(capsys, "tree-verify", "3", "--format", "table")
     assert code == 0

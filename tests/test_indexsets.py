@@ -1,3 +1,5 @@
+import math
+import random
 import time
 
 import pytest
@@ -10,6 +12,7 @@ from arboreal.indexsets import (
     m_coprime_witness,
     progressing_witness,
 )
+from arboreal.indexsets import _is_interval, _witness_valid
 
 
 def test_parse_and_zero():
@@ -132,3 +135,45 @@ def test_family_duplicate_check_is_linear():
     with pytest.raises(ValueError):
         IndexFamily(members + [IndexVector({1, 1500, 3002})])
 
+
+def _brute_valid(i, support, M):
+    return all(math.gcd(i, j) == 1 for j in support if j > M and j != i)
+
+
+def test_interval_rule_matches_brute_force():
+    rng = random.Random(6)
+    intervals = [(1, 1), (7, 7), (1, 2), (1, 60), (100, 101)]
+    for _ in range(40):
+        first = rng.randint(1, 300)
+        intervals.append((first, rng.randint(first, min(300, first + 150))))
+    for first, last in intervals:
+        ints = list(range(first, last + 1))
+        storages = (IndexVector(range(first, last + 1)), IndexVector(ints))
+        assert isinstance(storages[0].support, range)
+        assert isinstance(storages[1].support, tuple)
+        # a tuple-backed subset that is no interval takes the gcd passes
+        subset = IndexVector(rng.sample(ints, len(ints) // 2) + [first, last])
+        thresholds = {0, first - 1, last, last + 7, rng.randint(0, 120), rng.randint(0, 120)}
+        for M in thresholds:
+            for v in storages + (subset,):
+                valid = [i for i in v if i > M and _brute_valid(i, v.support, M)]
+                assert [i for i in v if i > M and _witness_valid(i, v.support, M)] == valid
+                expected = max(valid) if valid else None
+                assert m_coprime_witness(IndexFamily([v]), M).witnesses == (expected,)
+        assert all(_is_interval(v.support) for v in storages)
+        assert _is_interval(subset.support) == (len(subset) == len(ints))
+
+
+def test_interval_rule_every_threshold_up_to_120():
+    for first, last in ((1, 130), (40, 125), (90, 97)):
+        v = IndexVector.prefix(last) if first == 1 else IndexVector(range(first, last + 1))
+        for M in range(121):
+            valid = [i for i in v if i > M and _brute_valid(i, v.support, M)]
+            assert [i for i in v if i > M and _witness_valid(i, v.support, M)] == valid
+
+
+def test_prefix_witness_needs_no_scan_of_the_support():
+    start = time.perf_counter()
+    report = m_coprime_witness(IndexFamily([IndexVector.prefix(10**7)]), 0)
+    assert report.witnesses == (9_999_991,)
+    assert time.perf_counter() - start < 1.0

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from arboreal.treegroup import (
+    DEFAULT_SEED,
     MAX_VERIFY_DEPTH,
     CapExceeded,
     SubgroupGens,
@@ -22,6 +23,7 @@ from arboreal.treegroup import (
     tilde_phi,
     verify_noncommutation,
 )
+from arboreal.treegroup import _commute, _splitter
 
 ROOT2 = TreeAut.from_strings(["1", "00"])
 IDENT2 = TreeAut.identity(2)
@@ -288,6 +290,77 @@ def test_verify_noncommutation_rejects_bad_input():
             verify_noncommutation(depth, sample=1)
     assert verify_noncommutation(4, sample=0) == ([], 0)
     assert verify_noncommutation(MAX_VERIFY_DEPTH, sample=1)[1] == 1
+
+
+def random_elements(rng, depth, count):
+    """`count` portraits from consecutive seeded mask draws."""
+    size, split = 1 << ((1 << depth) - 1), _splitter(depth)
+    return [TreeAut(depth, split(rng.randrange(size))) for _ in range(count)]
+
+
+def test_commute_matches_compose_depths_1_to_6():
+    rng = random.Random(4)
+    outcomes = set()
+    for depth in range(1, 7):
+        elements = random_elements(rng, depth, 80)
+        pairs = list(zip(elements, elements[1:]))
+        # pairs known to commute
+        for g in elements[:10]:
+            pairs += [
+                (g, g),
+                (g, compose(g, g)),
+                (g, inverse(g)),
+                (g, TreeAut.identity(depth)),
+                (TreeAut.identity(depth), g),
+            ]
+        cyclic = closure(SubgroupGens(depth, (elements[0],)))
+        pairs += [(a, b) for a in cyclic[:8] for b in cyclic[:8]]
+        # last-level labels swap disjoint leaf pairs, so these commute too
+        last = [
+            TreeAut(depth, (0,) * (depth - 1) + (rng.getrandbits(1 << (depth - 1)),))
+            for _ in range(2)
+        ]
+        pairs += [(a, b) for a in closure(SubgroupGens(depth, tuple(last))) for b in last]
+        for s, t in pairs:
+            commutes = compose(s, t) == compose(t, s)
+            assert _commute(s.levels, t.levels) == commutes, (s, t)
+            outcomes.add(commutes)
+    assert outcomes == {True, False}
+
+
+def test_verify_noncommutation_never_composes(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_noncommutation must not compose portraits")
+
+    monkeypatch.setattr("arboreal.treegroup.compose", refuse)
+    assert verify_noncommutation(3) == ([], 16384)
+    assert verify_noncommutation(4, sample=2000) == ([], 2000)
+    assert verify_noncommutation(5, sample=2000, seed=3) == ([], 2000)
+
+
+def _criterion_pairs(pairs):
+    """The pairs the half-swap criterion forbids from commuting, in order."""
+    return [
+        (s, t)
+        for s, t in pairs
+        if phi(1, t) == 1 and any(abelianization(s)) and abelianization(s) != abelianization(t)
+    ]
+
+
+def test_verify_noncommutation_reports_what_the_predicate_accepts(monkeypatch):
+    # With a predicate that says every pair commutes, the search returns
+    # exactly the pairs its filter lets through, in scan order.
+    monkeypatch.setattr("arboreal.treegroup._commute", lambda s, t: True)
+    els = list(enumerate_group(2))
+    found, scanned = verify_noncommutation(2)
+    assert scanned == 64
+    assert found == _criterion_pairs([(s, t) for s in els for t in els])
+
+    draws = random_elements(random.Random(DEFAULT_SEED), 4, 2 * 50)
+    found, scanned = verify_noncommutation(4, sample=50)
+    assert scanned == 50
+    assert found == _criterion_pairs(list(zip(draws[::2], draws[1::2])))
+    assert found
 
 
 def test_abelian_subgroups_have_one_dimensional_faithful_image_depth3():
