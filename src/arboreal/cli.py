@@ -338,8 +338,10 @@ def _parse_family(text: Optional[str], path: Optional[str]) -> indexsets.IndexFa
             for entry in json.loads(content):
                 if isinstance(entry, str):
                     vectors.append(indexsets.IndexVector.parse(entry))
-                else:
+                elif isinstance(entry, list) and all(type(i) is int for i in entry):
                     vectors.append(indexsets.IndexVector(entry))
+                else:
+                    raise ValueError(f"--family-file entry {entry!r} is neither a list of integers nor a string")
         else:
             for line in content.splitlines():
                 line = line.strip()
@@ -354,7 +356,11 @@ def _cmd_indexset(args) -> int:
     family = _parse_family(args.family, args.family_file)
     records = []
     if args.progression:
-        k, length = (int(t) for t in args.progression.split(","))
+        what = f"--progression {args.progression.strip()!r}"
+        values = indexsets.parse_ints(args.progression, what)
+        if len(values) != 2:
+            raise ValueError(f"{what}: expected 'k,l'")
+        k, length = values
         targets = [indexsets.IndexVector.parse(t) for t in args.span or []]
         report = indexsets.progressing_witness(family, k, length, targets)
         records.append(
@@ -395,7 +401,7 @@ def _cmd_bertrand(args) -> int:
             raise ValueError(f"--upto must be positive, got {args.upto}")
         terms = list(range(1, args.upto + 1))
     else:
-        terms = [int(t) for t in args.terms.split(",")]
+        terms = indexsets.parse_ints(args.terms, f"--terms {args.terms.strip()!r}")
     built = indexsets.bertrand_family(terms)
     record = {
         "terms": len(terms),

@@ -31,16 +31,23 @@ def parse_rational(s: str) -> Fraction:
 
 @dataclass(frozen=True)
 class QuadPair:
-    """f = (x - a)^2 - b with basepoint alpha."""
+    """f = (x - a)^2 - b with basepoint alpha.
+
+    The normal form is computed once, here: the classifier reads it several
+    times per pair.
+    """
 
     a: Fraction
     b: Fraction
     alpha: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _frac(self.a))
-        object.__setattr__(self, "b", _frac(self.b))
-        object.__setattr__(self, "alpha", _frac(self.alpha))
+        a, b, alpha = _frac(self.a), _frac(self.b), _frac(self.alpha)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "alpha", alpha)
+        # from_normal pairs have a = 0: skip two Fraction operations per pair
+        object.__setattr__(self, "_normal", (-(a + b), alpha - a) if a else (-b, alpha))
 
     @classmethod
     def from_normal(cls, c: Rational, alpha: Rational) -> "QuadPair":
@@ -66,7 +73,7 @@ class QuadPair:
 
     def normal_form(self) -> Tuple[Fraction, Fraction]:
         """(c, beta) with (x^2 + c, beta) conjugate to this pair over Q."""
-        return -(self.a + self.b), self.alpha - self.a
+        return self._normal
 
     def describe(self) -> str:
         c, beta = self.normal_form()
@@ -107,7 +114,11 @@ def in_post_critical_orbit(pair: QuadPair) -> bool:
     denominator already larger than beta's: denominators of the orbit grow as
     den(c)^(2^(n-1)), so no later term can equal beta.
     """
-    c, beta = pair.normal_form()
+    return _in_critical_orbit(*pair.normal_form())
+
+
+def _in_critical_orbit(c: Fraction, beta: Fraction) -> bool:
+    """in_post_critical_orbit on the normal form (x^2 + c, beta)."""
     if c.denominator == 1 and beta.denominator > 1:
         return False
     bound = max(abs(c), 2, abs(beta))

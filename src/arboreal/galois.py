@@ -18,14 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import islice
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from functools import lru_cache
+from itertools import islice, takewhile
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import polys
 from .dynamics import (
     DegeneracyError,
     PCI,
     QuadPair,
+    _in_critical_orbit,
     _valuation,
     adjusted_orbit,
     in_post_critical_orbit,
@@ -33,10 +35,11 @@ from .dynamics import (
     is_pcf,
 )
 from .indexsets import _support_of
-from .primes import is_probable_prime, primes_from
+from .primes import is_probable_prime, primes_from, sieve
 from .squares import (
     QuadElement,
     is_perfect_square,
+    is_square_int,
     is_square_in_quad,
     quad_independent,
     span_dimension,
@@ -49,6 +52,8 @@ DEFAULT_ORBIT_BUDGET = 24  # largest support index contained_in_Mv accepts
 DEFAULT_PRIME_BOUND = 100  # odd primes scanned by the local ramification test
 DEFAULT_DIM_N = 12  # orbit values spanned by the faithful-node certificate
 _BACKWARD_DEPTH = 8  # backward-orbit levels walked for a quadratic field
+_ZERO_CYCLE_CACHE = 4096  # (c mod p, p) keys whose cycle of 0 is kept
+_SIEVE_LIMIT = 10**5  # the ramification test sieves its primes up to here
 
 
 class GroupId(Enum):
@@ -299,13 +304,49 @@ class PoonenResult:
         return self.condition is not None
 
 
+@lru_cache(maxsize=_ZERO_CYCLE_CACHE)
+def _zero_cycle(c_mod: int, p: int) -> Optional[FrozenSet[int]]:
+    """The cycle of 0 under x^2 + c_mod modulo p, or None when 0 is not
+    periodic.  The orbit stops at its first repeated value: 0 is periodic
+    exactly when that value is 0.
+    """
+    seen = set()
+    z = 0
+    while True:
+        z = (z * z + c_mod) % p
+        if z in seen:
+            return None
+        seen.add(z)
+        if z == 0:
+            return frozenset(seen)
+
+
+def _poonen_at(c: Fraction, alpha: Fraction, c_mod: int, p: int) -> PoonenResult:
+    """poonen_check for an odd prime p and c_mod = c mod p, both already known."""
+    alpha_mod = polys.reduce_mod(alpha, p)
+    if alpha_mod is None:
+        return PoonenResult("a", p, f"v_{p}(alpha) = {_valuation(alpha, p)} < 0")
+    cycle = _zero_cycle(c_mod, p)
+    if cycle is None:
+        return PoonenResult(None, p, "0 is not periodic modulo p")
+    if alpha_mod not in cycle:
+        return PoonenResult(None, p, "alpha misses the modular orbit of 0")
+    if _in_critical_orbit(c, alpha):
+        return PoonenResult(None, p, "alpha lies in the exact orbit of 0")
+    return PoonenResult(
+        "b", p, f"0 periodic mod {p} with period {len(cycle)}, alpha on the orbit"
+    )
+
+
 def poonen_check(c: Rational, alpha: Rational, p: int) -> PoonenResult:
     """Infinite ramification of the local tower at an odd prime p.
 
     Requires v_p(c) >= 0.  Fires when (a) v_p(alpha) < 0, or (b) 0 is
     periodic modulo p, alpha meets that modular orbit, and alpha is not in
     the exact orbit of 0.  Either condition rules out an abelian image, since
-    an infinitely ramified pro-2 extension of Q_p is non-abelian.
+    an infinitely ramified pro-2 extension of Q_p is non-abelian.  The cycle
+    of 0 mod p is cached per (c mod p, p) in at most _ZERO_CYCLE_CACHE
+    entries, each holding fewer than p residues.
     """
     c, alpha = Fraction(c), Fraction(alpha)
     if p == 2 or not is_probable_prime(p):
@@ -313,27 +354,19 @@ def poonen_check(c: Rational, alpha: Rational, p: int) -> PoonenResult:
     c_mod = polys.reduce_mod(c, p)
     if c_mod is None:
         raise ValueError("the test needs v_p(c) >= 0")
-    alpha_mod = polys.reduce_mod(alpha, p)
-    if alpha_mod is None:
-        return PoonenResult("a", p, f"v_{p}(alpha) = {_valuation(alpha, p)} < 0")
-    orbit_mod = []
-    z = 0
-    periodic = False
-    for _ in range(p + 1):
-        z = (z * z + c_mod) % p
-        orbit_mod.append(z)
-        if z == 0:
-            periodic = True
-            break
-    if not periodic:
-        return PoonenResult(None, p, "0 is not periodic modulo p")
-    if alpha_mod not in orbit_mod:
-        return PoonenResult(None, p, "alpha misses the modular orbit of 0")
-    if in_post_critical_orbit(QuadPair.from_normal(c, alpha)):
-        return PoonenResult(None, p, "alpha lies in the exact orbit of 0")
-    return PoonenResult(
-        "b", p, f"0 periodic mod {p} with period {len(orbit_mod)}, alpha on the orbit"
-    )
+    return _poonen_at(c, alpha, c_mod, p)
+
+
+@lru_cache(maxsize=8)
+def _sieved_odd_primes(bound: int) -> Tuple[int, ...]:
+    return tuple(sieve(bound)[1:])
+
+
+def _odd_primes_upto(bound: int) -> Iterator[int]:
+    """Odd primes <= bound: sieved up to _SIEVE_LIMIT, tested one by one above."""
+    yield from _sieved_odd_primes(min(bound, _SIEVE_LIMIT))
+    if bound > _SIEVE_LIMIT:
+        yield from takewhile(lambda p: p <= bound, primes_from(_SIEVE_LIMIT + 1))
 
 
 def nonabelian_prime_search(
@@ -342,19 +375,23 @@ def nonabelian_prime_search(
     """First odd prime <= bound where the local test fires, scanning the
     normal-form basepoint and, when the first preimage is rational, both
     rational preimages.  Returns (prime, condition, basepoint) or None.
+
+    c is reduced once per prime, and the cycle of 0 mod p comes from the
+    cache poonen_check shares, keyed by (c mod p, p): its memory is bounded
+    by the cache size (_ZERO_CYCLE_CACHE) times the period, which is below
+    `bound`.
     """
     c, beta = pair.normal_form()
     basepoints = [beta]
     shift = sqrt_exact(beta - c)
     if shift is not None and shift != 0:
         basepoints.extend([shift, -shift])
-    for p in primes_from(3):
-        if p > bound:
-            return None
-        if c.denominator % p == 0:  # v_p(c) < 0
+    for p in _odd_primes_upto(bound):
+        c_mod = polys.reduce_mod(c, p)
+        if c_mod is None:  # v_p(c) < 0
             continue
         for bp in basepoints:
-            result = poonen_check(c, bp, p)
+            result = _poonen_at(c, bp, c_mod, p)
             if result.infinitely_ramified:
                 return p, result.condition, bp
     return None
@@ -371,6 +408,17 @@ _ABELIAN_TABLE = {
     (Fraction(-2), Fraction(2)): "degree-2-chebyshev",
     (Fraction(-2), Fraction(-2)): "degree-2-chebyshev",
 }
+
+
+def _independent_classes(c1: Fraction, c2: Fraction) -> bool:
+    """Whether none of c1, c2, c1*c2 (nonzero) is a rational square.
+
+    num/den is a square exactly when num*den is, so the three tests run on
+    integers; Level2D8Cert.replay decides the same through sqrt_exact.
+    """
+    q1 = c1.numerator * c1.denominator
+    q2 = c2.numerator * c2.denominator
+    return not (is_square_int(q1) or is_square_int(q2) or is_square_int(q1 * q2))
 
 
 @dataclass(frozen=True)
@@ -575,10 +623,8 @@ def classify_abelian(
     c2 = c * c + c - beta
 
     # 1. level-2 D8 criterion
-    if c1 != 0 and c2 != 0:
-        cert1 = Level2D8Cert(c1, c2)
-        if cert1.replay():
-            return AbelianVerdict("nonabelian", None, cert1, "level2-d8", None)
+    if c1 != 0 and c2 != 0 and _independent_classes(c1, c2):
+        return AbelianVerdict("nonabelian", None, Level2D8Cert(c1, c2), "level2-d8", None)
 
     # 2. local ramification at an odd prime
     found = nonabelian_prime_search(pair, prime_bound)

@@ -23,6 +23,17 @@ def _is_interval(support: Sequence[int]) -> bool:
     return bool(support) and support[-1] - support[0] + 1 == len(support)
 
 
+def parse_ints(text: str, what: str) -> List[int]:
+    """Comma-separated integers; a bad token is a ValueError naming `what`."""
+    values = []
+    for token in text.split(","):
+        try:
+            values.append(int(token))
+        except ValueError:
+            raise ValueError(f"{what}: {token.strip()!r} is not an integer") from None
+    return values
+
+
 def _support_of(v) -> Tuple[int, ...]:
     """Sorted support of an IndexVector or of a bare iterable of levels."""
     support = getattr(v, "support", v)
@@ -59,7 +70,7 @@ class IndexVector:
         inner = text[1:-1].strip()
         if not inner:
             return cls(())
-        return cls(int(t) for t in inner.split(","))
+        return cls(parse_ints(inner, f"index vector {text!r}"))
 
     @property
     def is_zero(self) -> bool:
@@ -77,9 +88,10 @@ class IndexVector:
     def __eq__(self, other) -> bool:
         if not isinstance(other, IndexVector):
             return NotImplemented
-        if len(self.support) != len(other.support):
-            return False
-        return all(a == b for a, b in zip(self.support, other.support))
+        s, t = self.support, other.support
+        if isinstance(s, range) and isinstance(t, range):
+            return s == t  # compares start, length and step only
+        return len(s) == len(t) and all(a == b for a, b in zip(s, t))
 
     def __hash__(self) -> int:
         # Equal supports hash equal in either storage; a range-backed

@@ -82,6 +82,10 @@ def square_class(q: Rational, budget: int = DEFAULT_BUDGET) -> SquareClass:
     return SquareClass(sign, tuple(sorted(odd)))
 
 
+def is_square_int(n: int) -> bool:
+    return n >= 0 and math.isqrt(n) ** 2 == n
+
+
 def sqrt_exact(q: Rational) -> Optional[Fraction]:
     """Exact nonnegative square root of q, or None when q is not a square."""
     q = _frac(q)
@@ -166,7 +170,7 @@ def coprime_base(values: Sequence[int]) -> Tuple[List[int], List[F2Vector]]:
             else:
                 base.append(n)
     base.sort()
-    is_square = {b: math.isqrt(b) ** 2 == b for b in base}
+    is_square = {b: is_square_int(b) for b in base}
     vectors = []
     for v in values:
         n = abs(v)
@@ -211,7 +215,7 @@ class QuadElement:
         if self.d != int(self.d):
             raise ValueError(f"d must be an integer: {self.d}")
         object.__setattr__(self, "d", int(self.d))
-        if self.d == 0 or (self.d > 0 and math.isqrt(self.d) ** 2 == self.d):
+        if is_square_int(self.d):
             raise ValueError(f"d must not be a square: {self.d}")
 
     @property

@@ -130,6 +130,17 @@ def test_indexset_json_family_file(tmp_path, capsys):
     assert records[0]["ok"] is True
 
 
+@pytest.mark.parametrize("entry", ["5", '["x"]', "[1.5, 2]", "[true]"])
+def test_indexset_json_family_file_names_a_bad_entry(tmp_path, capsys, entry):
+    path = tmp_path / "family.json"
+    path.write_text(f'[[1,2],{entry}]')
+    assert main(["indexset", "--family-file", str(path), "--coprime", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("arboreal: input error: --family-file entry ")
+    assert "is neither a list of integers nor a string" in captured.err
+
+
 def test_survey_height_one(capsys):
     code, result = run_json(capsys, "survey", "--c-height", "1", "--alpha-height", "1")
     assert code == 0
@@ -249,6 +260,23 @@ def test_bertrand_upto_zero_is_named(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "arboreal: input error: --upto must be positive, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bertrand", "--terms", "2,,3"], "--terms '2,,3': '' is not an integer"),
+        (["bertrand", "--terms", "2,x"], "--terms '2,x': 'x' is not an integer"),
+        (["indexset", "--family", "{1,2}", "--progression", "1,y"], "--progression '1,y': 'y' is not an integer"),
+        (["indexset", "--family", "{1,2}", "--progression", "1,2,3"], "--progression '1,2,3': expected 'k,l'"),
+        (["indexset", "--family", "{1,,2}", "--coprime", "0"], "index vector '{1,,2}': '' is not an integer"),
+    ],
+)
+def test_integer_list_errors_name_the_option_and_token(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"arboreal: input error: {message}\n"
 
 
 def test_tree_verify_table(capsys):

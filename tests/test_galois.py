@@ -1,14 +1,22 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
+from itertools import takewhile
 
 import pytest
 
 from arboreal import polys
-from arboreal.cli import rationals_of_height
-from arboreal.dynamics import DegeneracyError, QuadPair
+from arboreal.cli import main, rationals_of_height
+from arboreal.dynamics import DegeneracyError, QuadPair, _valuation, in_post_critical_orbit
 from arboreal.galois import (
+    _SIEVE_LIMIT,
+    _ZERO_CYCLE_CACHE,
     GroupId,
+    Level2D8Cert,
+    _independent_classes,
+    _odd_primes_upto,
+    _zero_cycle,
     ab_dimension,
     classify_abelian,
     contained_in_Mv,
@@ -20,7 +28,8 @@ from arboreal.galois import (
     poonen_check,
     replay_certificate,
 )
-from arboreal.squares import square_class
+from arboreal.primes import primes_from
+from arboreal.squares import square_class, sqrt_exact
 
 F = Fraction
 
@@ -262,6 +271,103 @@ def test_nonabelian_prime_search_examples():
     assert nonabelian_prime_search(QuadPair.from_normal(-1, F(1, 3)))[:2] == (3, "a")
     assert nonabelian_prime_search(QuadPair.from_normal(-5, 5))[:2] == (5, "b")
     assert nonabelian_prime_search(QuadPair.from_normal(-2, 1)) is None
+
+
+def reference_poonen(c, alpha, p):
+    """The ramification test before the cycle cache: the orbit of 0 mod p as
+    a list, up to p + 1 steps, at a prime p with v_p(c) >= 0."""
+    if alpha.denominator % p == 0:
+        return "a", f"v_{p}(alpha) = {_valuation(alpha, p)} < 0"
+    c_mod = c.numerator * pow(c.denominator, -1, p) % p
+    alpha_mod = alpha.numerator * pow(alpha.denominator, -1, p) % p
+    orbit_mod = []
+    z = 0
+    for _ in range(p + 1):
+        z = (z * z + c_mod) % p
+        orbit_mod.append(z)
+        if z == 0:
+            break
+    else:
+        return None, "0 is not periodic modulo p"
+    if alpha_mod not in orbit_mod:
+        return None, "alpha misses the modular orbit of 0"
+    if in_post_critical_orbit(QuadPair.from_normal(c, alpha)):
+        return None, "alpha lies in the exact orbit of 0"
+    return "b", f"0 periodic mod {p} with period {len(orbit_mod)}, alpha on the orbit"
+
+
+def reference_prime_search(pair, bound):
+    c, beta = pair.normal_form()
+    basepoints = [beta]
+    shift = sqrt_exact(beta - c)
+    if shift is not None and shift != 0:
+        basepoints.extend([shift, -shift])
+    for p in primes_from(3):
+        if p > bound:
+            return None
+        if c.denominator % p:
+            for bp in basepoints:
+                condition, _ = reference_poonen(c, bp, p)
+                if condition is not None:
+                    return p, condition, bp
+
+
+def test_prime_search_matches_reference_loop():
+    grid = rationals_of_height(5)
+    for c in grid:
+        for alpha in grid:
+            pair = QuadPair.from_normal(c, alpha)
+            for bound in (3, 10, 100):
+                assert nonabelian_prime_search(pair, bound) == reference_prime_search(pair, bound)
+
+
+def test_poonen_details_match_reference_loop():
+    grid = rationals_of_height(3)
+    for p in primes_from(3):
+        if p > 40:
+            break
+        for c in grid:
+            if c.denominator % p == 0:
+                continue
+            for alpha in grid:
+                result = poonen_check(c, alpha, p)
+                assert (result.condition, result.details) == reference_poonen(c, alpha, p)
+
+
+def test_zero_cycle_cache_is_bounded():
+    assert _zero_cycle.cache_info().maxsize == _ZERO_CYCLE_CACHE
+    assert _zero_cycle(0, 7) == frozenset({0})
+    assert _zero_cycle(1, 3) is None  # 0 -> 1 -> 2 -> 2
+    assert _zero_cycle(2, 3) == frozenset({2, 0})  # 0 -> 2 -> 0
+
+
+def test_odd_primes_beyond_the_sieve():
+    bound = _SIEVE_LIMIT + 300
+    expected = list(takewhile(lambda p: p <= bound, primes_from(3)))
+    assert list(_odd_primes_upto(bound)) == expected
+    assert list(_odd_primes_upto(2)) == [] and list(_odd_primes_upto(-5)) == []
+
+
+def test_integer_d8_predicate_matches_certificate_replay():
+    grid = rationals_of_height(6)
+    for c in grid:
+        for beta in grid:
+            c1 = beta - c
+            c2 = c * c + c - beta
+            if c1 != 0 and c2 != 0:
+                assert _independent_classes(c1, c2) == Level2D8Cert(c1, c2).replay()
+
+
+@pytest.mark.parametrize(
+    "height, digest",
+    [
+        (5, "e38bf93f122d4bb8c7f2d3fd81161bec7e30963f5517cfb20d46026261e05380"),
+        (6, "37b54b52c640197ea02b3762c214d2073fb763dc751846fa67d99e5946640d4f"),
+    ],
+)
+def test_survey_output_is_pinned(capsys, height, digest):
+    assert main(["survey", "--c-height", str(height), "--alpha-height", str(height)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_classify_abelian_table():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 
 import pytest
@@ -29,6 +30,26 @@ def test_prefix_vectors_are_cheap():
     assert len(v) == 10**6
     assert isinstance(v.support, range)
     assert v == IndexVector.prefix(10**6)
+
+
+def test_interval_equality_is_constant_time():
+    big = IndexVector.prefix(10**7)
+    assert big == IndexVector.prefix(10**7)  # one range comparison, not 10^7
+    assert big != IndexVector.prefix(10**7 - 1)
+    with pytest.raises(ValueError, match="duplicate"):
+        IndexFamily([big, IndexVector.prefix(10**7)])
+    # a range-backed support still equals the same support stored as a tuple
+    assert IndexVector.prefix(5) == IndexVector({1, 2, 3, 4, 5})
+    assert IndexVector({1, 2, 3, 4, 5}) == IndexVector.prefix(5)
+    assert IndexVector.prefix(5) != IndexVector({1, 2, 3, 4, 6})
+    assert IndexVector(range(1, 10, 2)) == IndexVector({1, 3, 5, 7, 9})
+    assert IndexVector.prefix(0) == IndexVector(())
+
+
+def test_parse_names_the_bad_index():
+    for text, token in (("{1,,2}", "''"), ("{1,x}", "'x'")):
+        with pytest.raises(ValueError, match=re.escape(f"index vector '{text}': {token} is not an integer")):
+            IndexVector.parse(text)
 
 
 def test_is_progression():
