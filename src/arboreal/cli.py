@@ -585,6 +585,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # c_n has about 2^n digits, past CPython's default int-to-str limit of
+    # 4300 digits by n = 15: lift it while the command runs (3.10.7 and up)
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
@@ -593,6 +598,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DegeneracyError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         return EXIT_INCONCLUSIVE
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -26,7 +26,10 @@ class DegeneracyError(Exception):
 
 
 def parse_rational(s: str) -> Fraction:
-    return Fraction(s.strip().replace("−", "-"))
+    try:
+        return Fraction(s.strip().replace("−", "-"))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 @dataclass(frozen=True)
@@ -248,18 +251,10 @@ def orbit_valuations(c: Rational, p: int, N: int) -> ValuationReport:
     c = _frac(c)
     if not is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    raw: List[Fraction] = [-c]
-    z = c
-    if z == 0:
-        raise DegeneracyError("c_1 = 0: the orbit vanishes")
-    for n in range(2, N + 1):
-        z = z * z + c
-        if z == 0:
-            raise DegeneracyError(f"c_{n} = 0: the orbit vanishes")
-        raw.append(z)
-    values = tuple(_valuation(cn, p) for cn in raw)
+    orbit = adjusted_orbit(QuadPair.from_normal(c, 0), N)
+    if orbit.degeneracy_index is not None:
+        raise DegeneracyError(f"c_{orbit.degeneracy_index} = 0: the orbit vanishes")
+    values = tuple(_valuation(cn, p) for cn in orbit.raw)
     mismatches: List[int] = []
     if values[0] < 0:
         pattern = "negative"

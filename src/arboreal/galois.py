@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, takewhile
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, Union
+from itertools import islice
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from . import polys
 from .dynamics import (
@@ -53,7 +53,7 @@ DEFAULT_PRIME_BOUND = 100  # odd primes scanned by the local ramification test
 DEFAULT_DIM_N = 12  # orbit values spanned by the faithful-node certificate
 _BACKWARD_DEPTH = 8  # backward-orbit levels walked for a quadratic field
 _ZERO_CYCLE_CACHE = 4096  # (c mod p, p) keys whose cycle of 0 is kept
-_SIEVE_LIMIT = 10**5  # the ramification test sieves its primes up to here
+MAX_PRIME_BOUND = 10**6  # largest prime_bound: the ramification test sieves up to it
 
 
 class GroupId(Enum):
@@ -115,6 +115,18 @@ def _radicand_field(q: Fraction) -> Tuple[int, Fraction]:
     return q.numerator * q.denominator, Fraction(1, q.denominator)
 
 
+def _independent_classes(c1: Fraction, c2: Fraction) -> bool:
+    """Whether c1, c2 (nonzero) have independent classes in Q*/Q*^2: none of
+    c1, c2, c1*c2 is a square.  Asked by level 2 and classifier step 3.
+
+    num/den is a square exactly when num*den is, so the three tests run on
+    integers; the certificates replay through sqrt_exact and span_dimension.
+    """
+    q1 = c1.numerator * c1.denominator
+    q2 = c2.numerator * c2.denominator
+    return not (is_square_int(q1) or is_square_int(q2) or is_square_int(q1 * q2))
+
+
 @dataclass(frozen=True)
 class Level2Data:
     group: GroupId
@@ -147,11 +159,6 @@ def level2_data(pair: QuadPair) -> Level2Data:
     c2 = c * c + c - beta
     if c1 == 0 or c2 == 0:
         raise DegeneracyError("level-2 data needs nonvanishing c_1 and c_2")
-    sq1 = sqrt_exact(c1) is not None
-    sq2 = sqrt_exact(c2) is not None
-    sq12 = sqrt_exact(c1 * c2) is not None
-    phi1 = 0 if sq1 else 1
-    phi2 = 0 if sq2 else 1
 
     def image(*gens: Tuple[int, int]) -> FrozenSet[Tuple[int, int]]:
         span = {(0, 0)}
@@ -159,11 +166,12 @@ def level2_data(pair: QuadPair) -> Level2Data:
             span |= {(a ^ g[0], b ^ g[1]) for (a, b) in span}
         return frozenset(span)
 
-    if not sq1 and not sq2 and not sq12:
+    if _independent_classes(c1, c2):
         return Level2Data(GroupId.D8, c1, c2, "independent-classes", {}, image((1, 0), (0, 1)))
 
-    if sq1:
-        s = sqrt_exact(c1)
+    sq2 = sqrt_exact(c2) is not None
+    s = sqrt_exact(c1)
+    if s is not None:
         d_plus, d_minus = -c + s, -c - s
         sqp = sqrt_exact(d_plus) is not None
         sqm = sqrt_exact(d_minus) is not None
@@ -175,7 +183,7 @@ def level2_data(pair: QuadPair) -> Level2Data:
             group = GroupId.C2
         else:
             group = GroupId.V4
-        return Level2Data(group, c1, c2, "rational-halves", details, image((0, phi2)))
+        return Level2Data(group, c1, c2, "rational-halves", details, image((0, 0 if sq2 else 1)))
 
     d, m = _radicand_field(c1)
     d_plus = QuadElement(-c, m, d)
@@ -187,7 +195,6 @@ def level2_data(pair: QuadPair) -> Level2Data:
         )
     if sq2:
         return Level2Data(GroupId.V4, c1, c2, "biquadratic-V4", {"d": d}, image((1, 0)))
-    assert sq12, "one of the three square tests must succeed here"
     return Level2Data(GroupId.C4, c1, c2, "biquadratic-C4", {"d": d}, image((1, 1)))
 
 
@@ -362,13 +369,6 @@ def _sieved_odd_primes(bound: int) -> Tuple[int, ...]:
     return tuple(sieve(bound)[1:])
 
 
-def _odd_primes_upto(bound: int) -> Iterator[int]:
-    """Odd primes <= bound: sieved up to _SIEVE_LIMIT, tested one by one above."""
-    yield from _sieved_odd_primes(min(bound, _SIEVE_LIMIT))
-    if bound > _SIEVE_LIMIT:
-        yield from takewhile(lambda p: p <= bound, primes_from(_SIEVE_LIMIT + 1))
-
-
 def nonabelian_prime_search(
     pair: QuadPair, bound: int = DEFAULT_PRIME_BOUND
 ) -> Optional[Tuple[int, str, Fraction]]:
@@ -376,17 +376,19 @@ def nonabelian_prime_search(
     normal-form basepoint and, when the first preimage is rational, both
     rational preimages.  Returns (prime, condition, basepoint) or None.
 
-    c is reduced once per prime, and the cycle of 0 mod p comes from the
-    cache poonen_check shares, keyed by (c mod p, p): its memory is bounded
-    by the cache size (_ZERO_CYCLE_CACHE) times the period, which is below
-    `bound`.
+    The primes come from a cached sieve: a bound above MAX_PRIME_BOUND is a
+    ValueError.  c is reduced once per prime, and the cycle of 0 mod p comes
+    from the cache poonen_check shares, keyed by (c mod p, p): its memory is
+    bounded by the cache size (_ZERO_CYCLE_CACHE) times the period.
     """
     c, beta = pair.normal_form()
     basepoints = [beta]
     shift = sqrt_exact(beta - c)
     if shift is not None and shift != 0:
         basepoints.extend([shift, -shift])
-    for p in _odd_primes_upto(bound):
+    if bound > MAX_PRIME_BOUND:
+        raise ValueError(f"need prime_bound <= {MAX_PRIME_BOUND}, got {bound}")
+    for p in _sieved_odd_primes(bound):
         c_mod = polys.reduce_mod(c, p)
         if c_mod is None:  # v_p(c) < 0
             continue
@@ -408,17 +410,6 @@ _ABELIAN_TABLE = {
     (Fraction(-2), Fraction(2)): "degree-2-chebyshev",
     (Fraction(-2), Fraction(-2)): "degree-2-chebyshev",
 }
-
-
-def _independent_classes(c1: Fraction, c2: Fraction) -> bool:
-    """Whether none of c1, c2, c1*c2 (nonzero) is a rational square.
-
-    num/den is a square exactly when num*den is, so the three tests run on
-    integers; Level2D8Cert.replay decides the same through sqrt_exact.
-    """
-    q1 = c1.numerator * c1.denominator
-    q2 = c2.numerator * c2.denominator
-    return not (is_square_int(q1) or is_square_int(q2) or is_square_int(q1 * q2))
 
 
 @dataclass(frozen=True)
@@ -602,10 +593,13 @@ def classify_abelian(
     odd primes of the ramification test and `dim_N` the orbit values of the
     dimension argument; the backward orbit is walked _BACKWARD_DEPTH levels
     deep.  No step factors an integer, so the verdict never depends on a
-    factoring budget.  dim_N < 1 or prime_bound < 0 is a ValueError.
+    factoring budget.  dim_N < 1, prime_bound < 0 or prime_bound >
+    MAX_PRIME_BOUND is a ValueError, whichever step the pair reaches.
     """
-    if dim_N < 1 or prime_bound < 0:
-        raise ValueError(f"need dim_N >= 1 and prime_bound >= 0, got {dim_N} and {prime_bound}")
+    if dim_N < 1 or not 0 <= prime_bound <= MAX_PRIME_BOUND:
+        raise ValueError(
+            f"need dim_N >= 1 and {MAX_PRIME_BOUND} >= prime_bound >= 0, got {dim_N} and {prime_bound}"
+        )
     c, beta = pair.normal_form()
     if is_exceptional(pair):
         return AbelianVerdict(
@@ -633,13 +627,13 @@ def classify_abelian(
         cert2 = PoonenPrimeCert(p, condition, c, basepoint)
         return AbelianVerdict("nonabelian", None, cert2, "local-ramification", None)
 
-    # 3. faithful root plus a >= 2-dimensional orbit span
+    # 3. faithful root plus a >= 2-dimensional orbit span: with c1 not a
+    # square, span(c_1..c_n) >= 2 first at the first c_n outside {1, c1}
     if sqrt_exact(c1) is None and not in_post_critical_orbit(pair):
-        orbit = adjusted_orbit(pair, dim_N)
+        values = adjusted_orbit(pair, dim_N).adjusted
         for n in range(2, dim_N + 1):
-            values = orbit.adjusted[:n]
-            if span_dimension(values) >= 2:
-                cert3 = FaithfulNode2DimCert(c1, values)
+            if _independent_classes(c1, values[n - 1]):
+                cert3 = FaithfulNode2DimCert(c1, values[:n])
                 return AbelianVerdict("nonabelian", None, cert3, "level0-faithful-dimension", None)
 
     # 4. level-2 computation over a quadratic field from the backward orbit

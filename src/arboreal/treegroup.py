@@ -154,16 +154,15 @@ def _commute(s: Sequence[int], t: Sequence[int]) -> bool:
 
 
 def inverse(g: TreeAut) -> TreeAut:
-    """The unique h with compose(g, h) = compose(h, g) = identity."""
+    """The unique h with compose(g, h) = compose(h, g) = identity: h's label
+    at perm[j] is g's label at j, for perm g's prefix permutation."""
     levels: List[int] = []
-    for k in range(1, g.depth + 1):
-        partial = TreeAut(k - 1, tuple(levels[: k - 1])) if k > 1 else None
-        mask = 0
-        for j in range(1 << (k - 1)):
-            src = act_node(partial, j, k - 1) if partial is not None else 0
-            if g.label(k, src):
-                mask |= 1 << j
-        levels.append(mask)
+    for mask, perm in zip(g.levels, _level_perms(g.levels)):
+        inv = 0
+        for j, image in enumerate(perm):
+            if (mask >> j) & 1:
+                inv |= 1 << image
+        levels.append(inv)
     return TreeAut(g.depth, tuple(levels))
 
 

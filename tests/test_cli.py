@@ -1,9 +1,11 @@
 import argparse
 import json
+import sys
 
 import pytest
 
 from arboreal.cli import build_parser, main, rationals_of_height
+from arboreal.dynamics import QuadPair, adjusted_orbit
 from arboreal.primes import primes_from
 
 
@@ -349,6 +351,42 @@ def test_bad_environment_variable_is_input_error(monkeypatch, capsys):
     assert "ARBOREAL_SEED" in captured.err
     # only tree-verify reads ARBOREAL_SEED
     assert main(["orbit", "-1,0"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pcf", "1/0"],
+        ["classify", "1/0,1"],
+        ["valuations", "-c", "1/0", "-p", "3"],
+        ["poonen", "-c", "1", "--alpha", "1/0", "-p", "3"],
+        ["curve", "1,0", "--x", "1/0"],
+        ["orbit", "1,1/0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_zero_denominator_is_input_error(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("arboreal: input error: ") and "'1/0'" in captured.err
+
+
+def test_orbit_prints_values_past_the_int_digit_limit(capsys):
+    # c_15 of (x^2 + 1/3, 2) has about 7,800 digits, past CPython's default
+    # int-to-str limit of 4300 (3.10.7 and up), which main lifts while it runs
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    assert main(["orbit", "1/3,2", "-N", "15"]) == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    last = json.loads(capsys.readouterr().out)[0]["adjusted"][-1]
+    expected = adjusted_orbit(QuadPair.parse("1/3,2"), 15).adjusted[-1]
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert last == str(expected)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 # Every subcommand's options and arguments: each takes --format, and the

@@ -8,14 +8,22 @@ import pytest
 
 from arboreal import polys
 from arboreal.cli import main, rationals_of_height
-from arboreal.dynamics import DegeneracyError, QuadPair, _valuation, in_post_critical_orbit
+from arboreal.dynamics import (
+    DegeneracyError,
+    QuadPair,
+    _valuation,
+    adjusted_orbit,
+    in_post_critical_orbit,
+)
 from arboreal.galois import (
-    _SIEVE_LIMIT,
     _ZERO_CYCLE_CACHE,
+    MAX_PRIME_BOUND,
+    AbelianVerdict,
+    FaithfulNode2DimCert,
     GroupId,
     Level2D8Cert,
     _independent_classes,
-    _odd_primes_upto,
+    _sieved_odd_primes,
     _zero_cycle,
     ab_dimension,
     classify_abelian,
@@ -29,7 +37,7 @@ from arboreal.galois import (
     replay_certificate,
 )
 from arboreal.primes import primes_from
-from arboreal.squares import square_class, sqrt_exact
+from arboreal.squares import span_dimension, square_class, sqrt_exact
 
 F = Fraction
 
@@ -341,11 +349,93 @@ def test_zero_cycle_cache_is_bounded():
     assert _zero_cycle(2, 3) == frozenset({2, 0})  # 0 -> 2 -> 0
 
 
-def test_odd_primes_beyond_the_sieve():
-    bound = _SIEVE_LIMIT + 300
-    expected = list(takewhile(lambda p: p <= bound, primes_from(3)))
-    assert list(_odd_primes_upto(bound)) == expected
-    assert list(_odd_primes_upto(2)) == [] and list(_odd_primes_upto(-5)) == []
+def test_prime_scan_is_sieved_and_capped(monkeypatch, capsys):
+    assert _sieved_odd_primes(2) == () and _sieved_odd_primes(-5) == ()
+    assert nonabelian_prime_search(QuadPair.from_normal(-1, 2), 2) is None
+    top = MAX_PRIME_BOUND - 2000
+    expected = list(takewhile(lambda p: p <= MAX_PRIME_BOUND, primes_from(top)))
+    sieved = _sieved_odd_primes(MAX_PRIME_BOUND)
+    assert len(sieved) == 78497  # pi(10^6) = 78498, less the prime 2
+    assert [p for p in sieved if p >= top] == expected
+
+    def refuse(limit):
+        raise AssertionError("no sieve is built past the cap")
+
+    monkeypatch.setattr("arboreal.galois.sieve", refuse)
+    over = MAX_PRIME_BOUND + 1
+    with pytest.raises(ValueError, match=str(MAX_PRIME_BOUND)):
+        nonabelian_prime_search(QuadPair.from_normal(0, -4), over)
+    # (x^2 + 1, 0) stops at the level-2 D8 step, (x^2, -4) runs every step
+    for pair in (QuadPair.from_normal(1, 0), QuadPair.from_normal(0, -4)):
+        with pytest.raises(ValueError, match=str(MAX_PRIME_BOUND)):
+            classify_abelian(pair, prime_bound=over)
+    monkeypatch.undo()
+    for argv in (
+        ["classify", "0,-4", "--prime-bound", str(over)],
+        ["survey", "--c-height", "2", "--alpha-height", "2", "--prime-bound", "5000000"],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and str(MAX_PRIME_BOUND) in captured.err
+
+
+def reference_step3(pair, dim_N):
+    """Classifier step 3 by its first rule: the shortest orbit prefix whose
+    span modulo squares has dimension >= 2, rebuilt for each prefix."""
+    c, beta = pair.normal_form()
+    c1 = beta - c
+    if sqrt_exact(c1) is not None or in_post_critical_orbit(pair):
+        return None
+    values = adjusted_orbit(pair, dim_N).adjusted
+    for n in range(2, dim_N + 1):
+        if span_dimension(values[:n]) >= 2:
+            cert = FaithfulNode2DimCert(c1, values[:n])
+            return AbelianVerdict("nonabelian", None, cert, "level0-faithful-dimension")
+    return None
+
+
+# verdicts returned before step 3 is reached
+_BEFORE_STEP3 = {"finite-backward-orbit", "abelian-pair-table", "level2-d8", "local-ramification"}
+
+
+@pytest.mark.parametrize("dim_N", [3, 12])
+def test_faithful_node_step_matches_span_prefix_rule(dim_N):
+    grid = rationals_of_height(6)
+    fired = 0
+    for c in grid:
+        for beta in grid:
+            pair = QuadPair.from_normal(c, beta)
+            verdict = classify_abelian(pair, dim_N=dim_N)
+            if verdict.provenance in _BEFORE_STEP3:
+                continue
+            expected = reference_step3(pair, dim_N)
+            if expected is None:
+                assert verdict.provenance != "level0-faithful-dimension"
+            else:
+                assert verdict.to_json() == expected.to_json()
+                fired += 1
+    assert fired >= 20
+
+
+def test_classifier_decides_without_the_gcd_free_basis(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the classifier must not build a gcd-free basis")
+
+    monkeypatch.setattr("arboreal.galois.span_dimension", refuse)
+    monkeypatch.setattr("arboreal.squares.coprime_base", refuse)
+    grid = rationals_of_height(5)
+    verdicts = [classify_abelian(QuadPair.from_normal(c, beta)) for c in grid for beta in grid]
+    monkeypatch.undo()
+    faithful = [v.certificate for v in verdicts if v.provenance == "level0-faithful-dimension"]
+    assert len(faithful) >= 10
+    assert all(replay_certificate(cert) for cert in faithful)
+
+
+def test_classify_output_is_pinned(capsys):
+    grid = rationals_of_height(4)
+    assert main(["classify", *[f"{c},{beta}" for c in grid for beta in grid]]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "938ca32a585434cbc678a68fd8c9219ec41811c729832a1fd3b5a809b359f60c"
 
 
 def test_integer_d8_predicate_matches_certificate_replay():

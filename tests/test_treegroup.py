@@ -83,6 +83,10 @@ def test_compose_inverse_identity():
     ident3 = TreeAut.identity(3)
     for g in enumerate_group(3):
         assert compose(g, inverse(g)) == ident3
+    rng, ident8 = random.Random(8), TreeAut.identity(8)
+    for _ in range(50):
+        g = TreeAut(8, tuple(rng.getrandbits(1 << k) for k in range(8)))
+        assert compose(g, inverse(g)) == ident8 == compose(inverse(g), g)
 
 
 def test_inverse_undoes_action():
