@@ -37,6 +37,10 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INCONCLUSIVE = 2
 
+# c_n has about 2^n digits, so each step of `orbit -N` about quadruples the
+# time to print it: (x^2 + 1/3, 2) at N = 18 prints 0.5 MB in about 0.4 s
+MAX_ORBIT_N = 18
+
 EXCEPTIONAL_NOTE = (
     "derived closed form: a finite backward orbit forces the normal form (x^2, 0)"
 )
@@ -215,6 +219,8 @@ def _cmd_survey(args) -> int:
 
 def _cmd_orbit(args) -> int:
     pair = QuadPair.parse(args.pair)
+    if args.n > MAX_ORBIT_N:
+        raise ValueError(f"need N <= {MAX_ORBIT_N}, got {args.n}")
     orbit = adjusted_orbit(pair, args.n)
     record = {
         "pair": pair.describe(),

@@ -4,10 +4,14 @@ Orbit values double in bit length per iteration step, so unbudgeted
 factorization is a hang.  Every factorization here counts elementary
 operations (trial probes, rho iterations) against an explicit budget and
 raises BudgetExceeded when the bound is hit; callers then leave the factored
-output out.  The large-factor splitter draws its random starts from a
-generator keyed by n alone, so a factorization of n spends the same budget
-in every run.  Only factorize spends a budget: smallest_prime_factor stops
-at trial division and a primality test.
+output out.  Trial division finds the primes up to TRIAL_LIMIT by one gcd
+per block of about 2^15 integers against the product of the block's primes,
+but still charges one operation per wheel candidate it passes, counted in
+closed form, so the budget runs out on exactly the inputs where probing
+each candidate would.  The large-factor splitter draws its random starts
+from a generator keyed by n alone, so a factorization of n spends the same
+budget in every run.  Only factorize spends a budget: smallest_prime_factor
+stops at trial division and a primality test.
 """
 
 from __future__ import annotations
@@ -15,7 +19,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Dict, Iterator, List, Optional
+from bisect import bisect_right
+from functools import lru_cache
+from typing import Dict, Iterator, List, Optional, Tuple
 
 TRIAL_LIMIT = 10**6
 DEFAULT_BUDGET = 2_000_000
@@ -27,7 +33,16 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 class BudgetExceeded(Exception):
-    """Factorization ran out of its operation budget."""
+    """Factorization ran out of its operation budget.
+
+    `spent` is the operation count charged when it stopped, `budget` the
+    count it was given.
+    """
+
+    def __init__(self, message: str, spent: int, budget: int) -> None:
+        super().__init__(message)
+        self.spent = spent
+        self.budget = budget
 
 
 def sieve(limit: int) -> List[int]:
@@ -78,19 +93,23 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-_WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)  # steps between 7, 11, 13, 17, 19, 23, 29, 31, 37, ...
+_RESIDUES = (1, 7, 11, 13, 17, 19, 23, 29)  # residues prime to 30
+_BLOCK = 1 << 15  # integers per trial-division block
 
 
 class _Budget:
-    __slots__ = ("left",)
+    __slots__ = ("left", "budget")
 
     def __init__(self, budget: int) -> None:
-        self.left = budget
+        self.left = self.budget = budget
 
     def spend(self, n: int = 1) -> None:
         self.left -= n
         if self.left < 0:
-            raise BudgetExceeded("factorization budget exhausted")
+            raise self.exceeded("factorization budget exhausted")
+
+    def exceeded(self, message: str) -> BudgetExceeded:
+        return BudgetExceeded(message, self.budget - self.left, self.budget)
 
 
 def _brent_rho(n: int, budget: _Budget) -> int:
@@ -125,7 +144,7 @@ def _brent_rho(n: int, budget: _Budget) -> int:
                 budget.spend()
         if g != n:
             return g
-    raise BudgetExceeded("rho failed to split %d" % n)
+    raise budget.exceeded("rho failed to split %d" % n)
 
 
 def _split(n: int, out: Dict[int, int], mult: int, budget: _Budget) -> None:
@@ -143,26 +162,99 @@ def _split(n: int, out: Dict[int, int], mult: int, budget: _Budget) -> None:
     _split(n // d, out, mult, budget)
 
 
+def _candidates_upto(x: int) -> int:
+    """How many trial candidates (2, 3, 5, then each d >= 7 prime to 30) are <= x."""
+    wheel = 8 * (x // 30) + bisect_right(_RESIDUES, x % 30) - 1  # less 1, which is no candidate
+    return (x >= 2) + (x >= 3) + (x >= 5) + max(0, wheel)
+
+
+def _product(xs: List[int]) -> int:
+    """Product of xs, multiplied in balanced pairwise rounds."""
+    while len(xs) > 1:
+        it = iter(xs)
+        xs = [a * b for a, b in itertools.zip_longest(it, it, fillvalue=1)]
+    return xs[0]
+
+
+@lru_cache(maxsize=1)
+def _block_table() -> Tuple[Tuple[int, int], ...]:
+    """(lo, product of the primes in [lo, next lo)) for each block of _BLOCK
+    integers covering [2, TRIAL_LIMIT]: 31 blocks, 1.44 Mbit of products.
+
+    Built on first use by a segmented sieve, so no list of all the primes
+    up to TRIAL_LIMIT is ever held.
+    """
+    base = sieve(math.isqrt(TRIAL_LIMIT))
+    table = []
+    for lo in range(0, TRIAL_LIMIT + 1, _BLOCK):
+        size = min(_BLOCK, TRIAL_LIMIT + 1 - lo)
+        flags = bytearray([1]) * size
+        for p in base:
+            start = max(p * p, -(-lo // p) * p) - lo
+            flags[start::p] = bytes(len(range(start, size, p)))
+        if lo == 0:
+            flags[0] = flags[1] = 0
+        table.append((max(lo, 2), _product(list(itertools.compress(range(lo, lo + size), flags)))))
+    return tuple(table)
+
+
+def _primes_of(g: int, lo: int) -> Iterator[int]:
+    """The primes of g > 0 in ascending order, for g with no odd prime
+    factor below lo (lo even): trial division by 2 and by the odd d > lo,
+    which stops at the square root of what is left, so a lone prime costs
+    no probe at all."""
+    if g % 2 == 0:
+        yield 2
+        while g % 2 == 0:
+            g //= 2
+    d = lo + 1
+    while d * d <= g:
+        if g % d == 0:
+            yield d
+            while g % d == 0:
+                g //= d
+        d += 2
+    if g > 1:
+        yield g
+
+
 def _trial_divide(n: int, out: Dict[int, int], meter: _Budget, first: bool = False) -> int:
     """Move the prime factors p <= TRIAL_LIMIT of n > 0 into out as {p: e}.
 
-    Probes 2, 3, 5 and then the wheel of residues prime to 30, one budget
-    operation each, and returns the cofactor left.  With `first` it returns
-    right after the first prime factor found.
+    Charges one budget operation per trial candidate d (2, 3, 5 and then the
+    wheel of residues prime to 30) with d <= TRIAL_LIMIT and d^2 <= n, for n
+    as it shrinks while factors are divided out, and returns the cofactor
+    left.  With `first` it returns right after the first prime factor found.
+
+    It finds the primes without probing each candidate: while the trial
+    range stays inside the first block it splits n itself, and past that
+    it splits gcd(n, P) for each block product P from _block_table.  The
+    candidates are charged in bulk by _candidates_upto, up to each prime
+    found and then up to the final bound.  The charges equal one per probe,
+    so the budget runs out on the same inputs and leaves the same count for
+    rho.
     """
-    d = 2
-    steps = itertools.chain((1, 2, 2), itertools.cycle(_WHEEL))
-    while d <= TRIAL_LIMIT and d * d <= n:
-        meter.spend()
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out[d] = e
-            if first:
+    limit = min(TRIAL_LIMIT, math.isqrt(n))
+    # below the first block, split n itself (gcd(n, n) = n) and build no table
+    blocks = [(2, n)] if limit < _BLOCK else _block_table()
+    charged = 0  # the candidates <= charged are paid for
+    for lo, product in blocks:
+        if lo > limit:
+            break
+        for p in _primes_of(math.gcd(n, product), lo):
+            if p > limit:
                 break
-        d += next(steps)
+            meter.spend(_candidates_upto(p) - _candidates_upto(charged))
+            charged = p
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out[p] = e
+            if first:
+                return n
+            limit = min(TRIAL_LIMIT, math.isqrt(n))
+    meter.spend(max(0, _candidates_upto(limit) - _candidates_upto(charged)))
     return n
 
 

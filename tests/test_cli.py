@@ -1,10 +1,11 @@
 import argparse
+import hashlib
 import json
 import sys
 
 import pytest
 
-from arboreal.cli import build_parser, main, rationals_of_height
+from arboreal.cli import MAX_ORBIT_N, build_parser, main, rationals_of_height
 from arboreal.dynamics import QuadPair, adjusted_orbit
 from arboreal.primes import primes_from
 
@@ -387,6 +388,59 @@ def test_orbit_prints_values_past_the_int_digit_limit(capsys):
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+
+
+def test_orbit_depth_is_capped(capsys):
+    code, records = run_json(capsys, "orbit", "1/3,2", "-N", str(MAX_ORBIT_N))
+    assert code == 0 and len(records[0]["adjusted"]) == MAX_ORBIT_N
+    assert main(["orbit", "1/3,2", "-N", str(MAX_ORBIT_N + 1)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"arboreal: input error: need N <= {MAX_ORBIT_N}, got {MAX_ORBIT_N + 1}\n"
+
+
+# exit code and sha256 of stdout, taken before trial division worked by block
+# gcds: the deep abdim panel, a classes display that runs out of budget in
+# rho and one that runs out in trial division, and a PCF witness search that
+# passes every trial block: 1000036000099 = (10^6 + 3)(10^6 + 33)
+FACTORING_PINS = [
+    pytest.param(
+        ["abdim", "3/2,7/3", "-N", "7"],
+        "3af71dfd737f844c3e6d9ca0c24eca37cfabf5c8bf21e92f68ea28eee55632e1",
+        id="panel1-N7",
+    ),
+    pytest.param(
+        ["abdim", "-4/7,1/2", "-N", "7"],
+        "dc3581b1d633aadd1adf6d941330e0cf7f77401e4023eb60f2136bb185054d0f",
+        id="panel2-N7",
+    ),
+    pytest.param(
+        ["abdim", "3/7,8/5", "-N", "7"],
+        "61d5a60fbc24a08d0aa976813f9990c4f0672be19388ec8c9a37149df19d78de",
+        id="panel3-N7",
+    ),
+    pytest.param(
+        ["abdim", "3/2,7/3", "-N", "8"],
+        "8efa54aeffe94d2c7e01be0ac2483c96d6914970b18e571232e30a82f7e3b01e",
+        id="panel1-N8-null",
+    ),
+    pytest.param(
+        ["abdim", "1/3,2", "-N", "8", "--factor-budget", "1000"],
+        "51d35710dee9ea34f9528e22cf4142514354e9192ec2d1a76071b26d102411ef",
+        id="budget1000-null",
+    ),
+    pytest.param(
+        ["pcf", "1/1000036000099"],
+        "b864a06bc5cbce93bbe9a21da83cb224b6aae301f3a1b7920e2cdd86dea047a2",
+        id="pcf-past-trial-limit",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", FACTORING_PINS)
+def test_factoring_output_is_pinned(capsys, argv, digest):
+    code, out = run(capsys, *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
 
 
 # Every subcommand's options and arguments: each takes --format, and the
