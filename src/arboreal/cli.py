@@ -15,7 +15,9 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
+from typing import List, Optional, Sequence, Tuple
 
 from . import curves as curves_mod
 from . import galois, indexsets, treegroup
@@ -38,7 +40,8 @@ EXIT_INPUT = 1
 EXIT_INCONCLUSIVE = 2
 
 # c_n has about 2^n digits, so each step of `orbit -N` about quadruples the
-# time to print it: (x^2 + 1/3, 2) at N = 18 prints 0.5 MB in about 0.4 s
+# time to print it: (x^2 + 1/3, 2) at N = 18 prints 0.5 MB in about 0.4 s.
+# `valuations -N` builds the same exact orbit and shares the cap.
 MAX_ORBIT_N = 18
 
 EXCEPTIONAL_NOTE = (
@@ -158,31 +161,44 @@ def rationals_of_height(H: int) -> List[Fraction]:
     return sorted(v for v in values if abs(v.numerator) <= H and v.denominator <= max(H, 1))
 
 
+def _grid(H: int) -> List[Tuple[int, int, str]]:
+    """rationals_of_height(H) as (numerator, denominator, text) triples."""
+    return [(v.numerator, v.denominator, str(v)) for v in rationals_of_height(H)]
+
+
 def run_survey(
     c_height: int,
     alpha_height: int,
     prime_bound: int = galois.DEFAULT_PRIME_BOUND,
     dim_N: int = galois.DEFAULT_DIM_N,
 ) -> dict:
-    """Classify every normal-form pair (x^2 + c, alpha) on the height grid."""
+    """Classify every normal-form pair (x^2 + c, alpha) on the height grid.
+
+    The level-2 D8 test decides most pairs on integers: for c = a/b and
+    alpha = r/s, c_1 = alpha - c and c_2 = c^2 + c - alpha have num*den
+    equal, up to a nonzero square, to q1 = (rb - as)sb and
+    q2 = (a^2 s + abs - rb^2)s.  Only the other pairs reach classify_abelian.
+    """
+    alphas = _grid(alpha_height)
+    cs = _grid(c_height)
+    galois._check_settings(prime_bound, dim_N)
     abelian: List[dict] = []
     counts = {"abelian": 0, "nonabelian": 0, "not_applicable": 0}
     rows: List[dict] = []
-    alphas = rationals_of_height(alpha_height)
-    for c in rationals_of_height(c_height):
-        for alpha in alphas:
-            pair = QuadPair.from_normal(c, alpha)
-            verdict = galois.classify_abelian(pair, prime_bound, dim_N)
-            counts[verdict.status] += 1
-            row = {
-                "c": str(c),
-                "alpha": str(alpha),
-                "status": verdict.status,
-                "provenance": verdict.provenance,
-            }
-            rows.append(row)
-            if verdict.status == "abelian":
-                abelian.append({"c": str(c), "alpha": str(alpha), "tag": verdict.tag})
+    for a, b, c_text in cs:
+        for r, s, alpha_text in alphas:
+            q1 = (r * b - a * s) * s * b
+            q2 = (a * a * s + a * b * s - r * b * b) * s
+            if q1 and q2 and galois._independent_classes(q1, q2):
+                status, provenance = galois.D8_STATUS, galois.D8_PROVENANCE
+            else:
+                pair = QuadPair.from_normal(Fraction(a, b), Fraction(r, s))
+                verdict = galois.classify_abelian(pair, prime_bound, dim_N)
+                status, provenance = verdict.status, verdict.provenance
+                if status == "abelian":
+                    abelian.append({"c": c_text, "alpha": alpha_text, "tag": verdict.tag})
+            counts[status] += 1
+            rows.append({"c": c_text, "alpha": alpha_text, "status": status, "provenance": provenance})
     return {
         "grid": {"c_height": c_height, "alpha_height": alpha_height},
         "counts": counts,
@@ -199,10 +215,30 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
+# one row of json.dumps(result, indent=2, sort_keys=True), whose keys are fixed
+_ROW_JSON = (
+    '    {\n      "alpha": %s,\n      "c": %s,\n      "provenance": %s,\n      "status": %s\n    }'
+)
+
+
+def _survey_json(result: dict) -> str:
+    """json.dumps(result, indent=2, sort_keys=True), writing the rows, which
+    sort last, from one template."""
+    head = json.dumps(dict(result, rows=[]), indent=2, sort_keys=True)
+    if not result["rows"]:
+        return head
+    esc = encode_basestring_ascii
+    rows = ",\n".join(
+        _ROW_JSON % (esc(r["alpha"]), esc(r["c"]), esc(r["provenance"]), esc(r["status"]))
+        for r in result["rows"]
+    )
+    return head[: -len("[]\n}")] + "[\n" + rows + "\n  ]\n}"
+
+
 def _cmd_survey(args) -> int:
     result = run_survey(args.c_height, args.alpha_height, **_classifier_settings(args))
     if args.format == "json":
-        print(json.dumps(result, indent=2, sort_keys=True))
+        print(_survey_json(result))
     else:
         for row in result["rows"]:
             print("\t".join([row["c"], row["alpha"], row["status"]]))
@@ -300,7 +336,10 @@ def _cmd_group2(args) -> int:
 
 
 def _cmd_valuations(args) -> int:
-    report = orbit_valuations(parse_rational(args.c), args.p, args.n)
+    c = parse_rational(args.c)
+    if args.n > MAX_ORBIT_N:
+        raise ValueError(f"need N <= {MAX_ORBIT_N}, got {args.n}")
+    report = orbit_valuations(c, args.p, args.n)
     record = {
         "c": str(report.c),
         "p": report.p,
@@ -482,7 +521,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="arboreal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -215,19 +215,27 @@ def is_exceptional(pair: QuadPair) -> bool:
     return c == 0 and beta == 0
 
 
+def _multiplicity(n: int, p: int) -> int:
+    """The largest v with p^v dividing the nonzero integer n.
+
+    Divides out p^(2^k) from the largest k down, in O(log v) big
+    divisions: orbit valuations reach 2^17 by depth 18.
+    """
+    powers = [p]
+    while n % powers[-1] == 0:
+        powers.append(powers[-1] * powers[-1])
+    v = 0
+    for k in range(len(powers) - 2, -1, -1):
+        quotient, rest = divmod(n, powers[k])
+        if not rest:
+            n, v = quotient, v + (1 << k)
+    return v
+
+
 def _valuation(q: Fraction, p: int) -> int:
     if q == 0:
         raise ValueError("0 has no valuation")
-    v = 0
-    n = q.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = q.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return _multiplicity(q.numerator, p) - _multiplicity(q.denominator, p)
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from . import polys
 from .dynamics import (
@@ -115,15 +115,16 @@ def _radicand_field(q: Fraction) -> Tuple[int, Fraction]:
     return q.numerator * q.denominator, Fraction(1, q.denominator)
 
 
-def _independent_classes(c1: Fraction, c2: Fraction) -> bool:
-    """Whether c1, c2 (nonzero) have independent classes in Q*/Q*^2: none of
-    c1, c2, c1*c2 is a square.  Asked by level 2 and classifier step 3.
+def _independent_classes(q1: int, q2: int) -> bool:
+    """Whether rationals c1, c2 (nonzero) have independent classes in
+    Q*/Q*^2, none of c1, c2, c1*c2 being a square, given q1 and q2 that are
+    num*den of c1 and c2 times nonzero squares.  Asked by level 2,
+    classifier steps 1 and 3 and the survey.
 
-    num/den is a square exactly when num*den is, so the three tests run on
-    integers; the certificates replay through sqrt_exact and span_dimension.
+    num/den is a square exactly when num*den is, and so is any square
+    multiple of it: the three tests run on integers, with no fraction
+    reduced.  The certificates replay through sqrt_exact and span_dimension.
     """
-    q1 = c1.numerator * c1.denominator
-    q2 = c2.numerator * c2.denominator
     return not (is_square_int(q1) or is_square_int(q2) or is_square_int(q1 * q2))
 
 
@@ -166,7 +167,7 @@ def level2_data(pair: QuadPair) -> Level2Data:
             span |= {(a ^ g[0], b ^ g[1]) for (a, b) in span}
         return frozenset(span)
 
-    if _independent_classes(c1, c2):
+    if _independent_classes(c1.numerator * c1.denominator, c2.numerator * c2.denominator):
         return Level2Data(GroupId.D8, c1, c2, "independent-classes", {}, image((1, 0), (0, 1)))
 
     sq2 = sqrt_exact(c2) is not None
@@ -328,21 +329,27 @@ def _zero_cycle(c_mod: int, p: int) -> Optional[FrozenSet[int]]:
             return frozenset(seen)
 
 
-def _poonen_at(c: Fraction, alpha: Fraction, c_mod: int, p: int) -> PoonenResult:
-    """poonen_check for an odd prime p and c_mod = c mod p, both already known."""
-    alpha_mod = polys.reduce_mod(alpha, p)
+def _poonen_at(
+    alpha: Fraction,
+    alpha_mod: Optional[int],
+    cycle: Optional[FrozenSet[int]],
+    p: int,
+    in_exact_orbit: Callable[[], bool],
+) -> Tuple[Optional[str], str]:
+    """(condition, details) of poonen_check at the odd prime p, given
+    alpha_mod = alpha mod p and the cycle of 0 modulo p; in_exact_orbit()
+    answers whether alpha lies in the exact orbit of 0, and is asked only
+    when the residues leave the verdict open.
+    """
     if alpha_mod is None:
-        return PoonenResult("a", p, f"v_{p}(alpha) = {_valuation(alpha, p)} < 0")
-    cycle = _zero_cycle(c_mod, p)
+        return "a", f"v_{p}(alpha) = {_valuation(alpha, p)} < 0"
     if cycle is None:
-        return PoonenResult(None, p, "0 is not periodic modulo p")
+        return None, "0 is not periodic modulo p"
     if alpha_mod not in cycle:
-        return PoonenResult(None, p, "alpha misses the modular orbit of 0")
-    if _in_critical_orbit(c, alpha):
-        return PoonenResult(None, p, "alpha lies in the exact orbit of 0")
-    return PoonenResult(
-        "b", p, f"0 periodic mod {p} with period {len(cycle)}, alpha on the orbit"
-    )
+        return None, "alpha misses the modular orbit of 0"
+    if in_exact_orbit():
+        return None, "alpha lies in the exact orbit of 0"
+    return "b", f"0 periodic mod {p} with period {len(cycle)}, alpha on the orbit"
 
 
 def poonen_check(c: Rational, alpha: Rational, p: int) -> PoonenResult:
@@ -358,10 +365,13 @@ def poonen_check(c: Rational, alpha: Rational, p: int) -> PoonenResult:
     c, alpha = Fraction(c), Fraction(alpha)
     if p == 2 or not is_probable_prime(p):
         raise ValueError(f"the test needs an odd prime, got {p}")
-    c_mod = polys.reduce_mod(c, p)
+    c_mod = polys.reduce_mod(c.numerator, c.denominator, p)
     if c_mod is None:
         raise ValueError("the test needs v_p(c) >= 0")
-    return _poonen_at(c, alpha, c_mod, p)
+    alpha_mod = polys.reduce_mod(alpha.numerator, alpha.denominator, p)
+    in_exact_orbit = partial(_in_critical_orbit, c, alpha)
+    condition, details = _poonen_at(alpha, alpha_mod, _zero_cycle(c_mod, p), p, in_exact_orbit)
+    return PoonenResult(condition, p, details)
 
 
 @lru_cache(maxsize=8)
@@ -377,9 +387,12 @@ def nonabelian_prime_search(
     rational preimages.  Returns (prime, condition, basepoint) or None.
 
     The primes come from a cached sieve: a bound above MAX_PRIME_BOUND is a
-    ValueError.  c is reduced once per prime, and the cycle of 0 mod p comes
-    from the cache poonen_check shares, keyed by (c mod p, p): its memory is
-    bounded by the cache size (_ZERO_CYCLE_CACHE) times the period.
+    ValueError.  c and each basepoint are reduced mod p from their integer
+    numerators and denominators, and whether a basepoint lies in the exact
+    orbit of 0 is decided at most once, at the first prime that asks.  The
+    cycle of 0 mod p comes from the cache poonen_check shares, keyed by
+    (c mod p, p): its memory is bounded by the cache size
+    (_ZERO_CYCLE_CACHE) times the period.
     """
     c, beta = pair.normal_form()
     basepoints = [beta]
@@ -388,14 +401,24 @@ def nonabelian_prime_search(
         basepoints.extend([shift, -shift])
     if bound > MAX_PRIME_BOUND:
         raise ValueError(f"need prime_bound <= {MAX_PRIME_BOUND}, got {bound}")
+    exact: Dict[Fraction, bool] = {}
+
+    def in_exact_orbit(bp: Fraction) -> bool:
+        if bp not in exact:
+            exact[bp] = _in_critical_orbit(c, bp)
+        return exact[bp]
+
+    c_num, c_den = c.numerator, c.denominator
+    points = [(bp, bp.numerator, bp.denominator, partial(in_exact_orbit, bp)) for bp in basepoints]
     for p in _sieved_odd_primes(bound):
-        c_mod = polys.reduce_mod(c, p)
+        c_mod = polys.reduce_mod(c_num, c_den, p)
         if c_mod is None:  # v_p(c) < 0
             continue
-        for bp in basepoints:
-            result = _poonen_at(c, bp, c_mod, p)
-            if result.infinitely_ramified:
-                return p, result.condition, bp
+        cycle = _zero_cycle(c_mod, p)
+        for bp, num, den, bp_in_exact_orbit in points:
+            condition, _ = _poonen_at(bp, polys.reduce_mod(num, den, p), cycle, p, bp_in_exact_orbit)
+            if condition is not None:
+                return p, condition, bp
     return None
 
 
@@ -575,6 +598,20 @@ def _quad_field_search(c: Fraction, beta: Fraction) -> Optional[QuadFieldD8Cert]
     return None
 
 
+# status and provenance of a level-2 D8 verdict, which the survey also
+# reaches on integers without building the verdict
+D8_STATUS = "nonabelian"
+D8_PROVENANCE = "level2-d8"
+
+
+def _check_settings(prime_bound: int, dim_N: int) -> None:
+    """ValueError unless 0 <= prime_bound <= MAX_PRIME_BOUND and dim_N >= 1."""
+    if dim_N < 1 or not 0 <= prime_bound <= MAX_PRIME_BOUND:
+        raise ValueError(
+            f"need dim_N >= 1 and {MAX_PRIME_BOUND} >= prime_bound >= 0, got {dim_N} and {prime_bound}"
+        )
+
+
 def classify_abelian(
     pair: QuadPair,
     prime_bound: int = DEFAULT_PRIME_BOUND,
@@ -596,10 +633,7 @@ def classify_abelian(
     factoring budget.  dim_N < 1, prime_bound < 0 or prime_bound >
     MAX_PRIME_BOUND is a ValueError, whichever step the pair reaches.
     """
-    if dim_N < 1 or not 0 <= prime_bound <= MAX_PRIME_BOUND:
-        raise ValueError(
-            f"need dim_N >= 1 and {MAX_PRIME_BOUND} >= prime_bound >= 0, got {dim_N} and {prime_bound}"
-        )
+    _check_settings(prime_bound, dim_N)
     c, beta = pair.normal_form()
     if is_exceptional(pair):
         return AbelianVerdict(
@@ -615,10 +649,12 @@ def classify_abelian(
 
     c1 = beta - c
     c2 = c * c + c - beta
+    q1 = c1.numerator * c1.denominator
+    q2 = c2.numerator * c2.denominator
 
     # 1. level-2 D8 criterion
-    if c1 != 0 and c2 != 0 and _independent_classes(c1, c2):
-        return AbelianVerdict("nonabelian", None, Level2D8Cert(c1, c2), "level2-d8", None)
+    if q1 and q2 and _independent_classes(q1, q2):
+        return AbelianVerdict(D8_STATUS, None, Level2D8Cert(c1, c2), D8_PROVENANCE, None)
 
     # 2. local ramification at an odd prime
     found = nonabelian_prime_search(pair, prime_bound)
@@ -632,7 +668,8 @@ def classify_abelian(
     if sqrt_exact(c1) is None and not in_post_critical_orbit(pair):
         values = adjusted_orbit(pair, dim_N).adjusted
         for n in range(2, dim_N + 1):
-            if _independent_classes(c1, values[n - 1]):
+            cn = values[n - 1]
+            if _independent_classes(q1, cn.numerator * cn.denominator):
                 cert3 = FaithfulNode2DimCert(c1, values[:n])
                 return AbelianVerdict("nonabelian", None, cert3, "level0-faithful-dimension", None)
 

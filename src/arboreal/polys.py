@@ -18,11 +18,9 @@ def degree(f: Sequence) -> int:
     return len(f) - 1
 
 
-def reduce_mod(q, p: int) -> Optional[int]:
-    """The rational (or integer) q modulo p, or None when p divides den(q)."""
-    if q.denominator % p == 0:
-        return None
-    return q.numerator * pow(q.denominator, -1, p) % p
+def reduce_mod(num: int, den: int, p: int) -> Optional[int]:
+    """The rational num/den modulo p, or None when p divides den."""
+    return num * pow(den, -1, p) % p if den % p else None
 
 
 def level_poly(c, beta, level: int, p: int) -> Optional[ModPoly]:
@@ -34,8 +32,9 @@ def level_poly(c, beta, level: int, p: int) -> Optional[ModPoly]:
     primes dividing the denominator of some rational coefficient, since at
     level n >= 2 the x^(2^n - 2) coefficient is 2^(n-1) c.
     """
-    last = reduce_mod(c - beta, p)
-    c_mod = reduce_mod(c, p) if level >= 2 else 0
+    shift = c - beta
+    last = reduce_mod(shift.numerator, shift.denominator, p)
+    c_mod = reduce_mod(c.numerator, c.denominator, p) if level >= 2 else 0
     if last is None or c_mod is None:
         return None
     g = [0, 1]

@@ -399,6 +399,45 @@ def test_orbit_depth_is_capped(capsys):
     assert captured.err == f"arboreal: input error: need N <= {MAX_ORBIT_N}, got {MAX_ORBIT_N + 1}\n"
 
 
+def test_valuations_depth_is_capped(capsys):
+    code, records = run_json(capsys, "valuations", "-c", "1/3", "-p", "3", "-N", str(MAX_ORBIT_N))
+    assert code == 0 and len(records[0]["values"]) == MAX_ORBIT_N
+    assert main(["valuations", "-c", "1/3", "-p", "3", "-N", str(MAX_ORBIT_N + 1)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"arboreal: input error: need N <= {MAX_ORBIT_N}, got {MAX_ORBIT_N + 1}\n"
+
+
+# subcommands in turn on one parser, with a setting given and then left out,
+# and a failing parse (exit 1) in the middle
+PARSER_ROUND = [
+    ["survey", "--c-height", "2", "--alpha-height", "1"],
+    ["classify", "1,0", "--dim-n", "3", "--format", "table"],
+    ["orbit", "1/3,2", "-N", "3"],
+    ["survey", "--c-height", "1", "--dim-n", "x"],
+    ["classify", "1,0", "--format", "table"],
+    ["pcf", "-2", "1/2"],
+    ["survey", "--c-height", "1", "--alpha-height", "2", "--format", "table"],
+]
+
+
+def test_cached_parser_matches_a_fresh_one(capsys, monkeypatch):
+    assert build_parser() is build_parser()
+
+    def outputs():
+        seen = []
+        for argv in PARSER_ROUND:
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            seen.append((code, captured.out, captured.err))
+        return seen
+
+    cached = outputs()
+    assert [code for code, _, _ in cached] == [0, 0, 0, 1, 0, 0, 0]
+    monkeypatch.setattr("arboreal.cli.build_parser", build_parser.__wrapped__)
+    assert outputs() == cached
+
+
 # exit code and sha256 of stdout, taken before trial division worked by block
 # gcds: the deep abdim panel, a classes display that runs out of budget in
 # rho and one that runs out in trial division, and a PCF witness search that

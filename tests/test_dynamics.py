@@ -12,6 +12,7 @@ from arboreal.dynamics import (
     PCF,
     PCI,
     QuadPair,
+    _valuation,
     adjusted_orbit,
     in_post_critical_orbit,
     is_exceptional,
@@ -259,3 +260,23 @@ def test_orbit_valuations_vanishing_error():
 def test_orbit_valuations_rejects_composite():
     with pytest.raises(ValueError):
         orbit_valuations(5, 6, 4)
+
+
+def test_valuation_matches_repeated_division():
+    def one_at_a_time(n, p):
+        v = 0
+        while n % p == 0:
+            n //= p
+            v += 1
+        return v
+
+    rng = random.Random(3)
+    for p in (2, 3, 5, 7, 101):
+        for _ in range(60):
+            unit = rng.choice([-1, 1]) * rng.randrange(1, 10**12)
+            k, j = rng.randrange(0, 300), rng.randrange(0, 300)
+            q = F(unit * p**k, rng.randrange(1, 10**6) * p**j)
+            expected = one_at_a_time(q.numerator, p) - one_at_a_time(q.denominator, p)
+            assert _valuation(q, p) == expected
+    report = orbit_valuations(F(1, 3), 3, 18)
+    assert report.values == tuple(-(1 << n) for n in range(18)) and report.conformant

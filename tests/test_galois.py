@@ -1,13 +1,14 @@
 import hashlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import takewhile
 
 import pytest
 
 from arboreal import polys
-from arboreal.cli import main, rationals_of_height
+from arboreal.cli import main, rationals_of_height, run_survey
 from arboreal.dynamics import (
     DegeneracyError,
     QuadPair,
@@ -36,7 +37,7 @@ from arboreal.galois import (
     poonen_check,
     replay_certificate,
 )
-from arboreal.primes import primes_from
+from arboreal.primes import primes_from, sieve
 from arboreal.squares import span_dimension, square_class, sqrt_exact
 
 F = Fraction
@@ -329,6 +330,39 @@ def test_prime_search_matches_reference_loop():
                 assert nonabelian_prime_search(pair, bound) == reference_prime_search(pair, bound)
 
 
+def poonen_check_search(pair, bound):
+    """nonabelian_prime_search as a loop of poonen_check over the sieved odd primes."""
+    c, beta = pair.normal_form()
+    basepoints = [beta]
+    shift = sqrt_exact(beta - c)
+    if shift is not None and shift != 0:
+        basepoints.extend([shift, -shift])
+    for p in sieve(bound)[1:]:
+        if c.denominator % p:
+            for bp in basepoints:
+                result = poonen_check(c, bp, p)
+                if result.infinitely_ramified:
+                    return p, result.condition, bp
+    return None
+
+
+def test_prime_search_matches_poonen_check_loop():
+    grid = rationals_of_height(6)
+    found = 0
+    for c in grid:
+        for alpha in grid:
+            pair = QuadPair.from_normal(c, alpha)
+            expected = poonen_check_search(pair, 100)
+            assert nonabelian_prime_search(pair, 100) == expected
+            found += expected is not None
+    assert found > 1000
+    rng = random.Random(1)
+    grid = rationals_of_height(30)
+    for _ in range(300):
+        pair = QuadPair.from_normal(rng.choice(grid), rng.choice(grid))
+        assert nonabelian_prime_search(pair, 1000) == poonen_check_search(pair, 1000)
+
+
 def test_poonen_details_match_reference_loop():
     grid = rationals_of_height(3)
     for p in primes_from(3):
@@ -439,13 +473,53 @@ def test_classify_output_is_pinned(capsys):
 
 
 def test_integer_d8_predicate_matches_certificate_replay():
-    grid = rationals_of_height(6)
+    # num*den of c1 and c2, and the survey's cross-multiplied q1 and q2 for
+    # c = a/b, beta = r/s, which differ from them by nonzero squares
+    grid = rationals_of_height(9)
     for c in grid:
+        a, b = c.numerator, c.denominator
         for beta in grid:
+            r, s = beta.numerator, beta.denominator
             c1 = beta - c
             c2 = c * c + c - beta
+            q1 = (r * b - a * s) * s * b
+            q2 = (a * a * s + a * b * s - r * b * b) * s
+            assert (q1 == 0, q2 == 0) == (c1 == 0, c2 == 0)
             if c1 != 0 and c2 != 0:
-                assert _independent_classes(c1, c2) == Level2D8Cert(c1, c2).replay()
+                expected = Level2D8Cert(c1, c2).replay()
+                assert _independent_classes(c1.numerator * c1.denominator, c2.numerator * c2.denominator) == expected
+                assert _independent_classes(q1, q2) == expected
+
+
+def test_survey_rows_match_the_classifier():
+    result = run_survey(9, 9)
+    grid = rationals_of_height(9)
+    assert len(result["rows"]) == len(grid) ** 2 == 12321
+    abelian = []
+    for row, (c, alpha) in zip(result["rows"], ((c, alpha) for c in grid for alpha in grid)):
+        verdict = classify_abelian(QuadPair.from_normal(c, alpha))
+        assert row == {"c": str(c), "alpha": str(alpha), "status": verdict.status, "provenance": verdict.provenance}
+        if verdict.status == "abelian":
+            abelian.append({"c": str(c), "alpha": str(alpha), "tag": verdict.tag})
+    assert result["abelian_pairs"] == abelian
+    statuses = Counter(row["status"] for row in result["rows"])
+    assert result["counts"] == {k: statuses[k] for k in ("abelian", "nonabelian", "not_applicable")}
+
+
+@pytest.mark.parametrize("settings", [{"dim_N": 0}, {"prime_bound": MAX_PRIME_BOUND + 1}])
+def test_survey_checks_settings_before_any_pair(monkeypatch, settings):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return classify_abelian(*args)
+
+    monkeypatch.setattr("arboreal.galois.classify_abelian", counting)
+    with pytest.raises(ValueError, match="need dim_N >= 1"):
+        run_survey(3, 3, **settings)
+    assert calls == []
+    run_survey(1, 1)
+    assert len(calls) == 9 - 3  # (1, 0), (1, -1) and (-1, 1) are level-2 D8 pairs
 
 
 @pytest.mark.parametrize(
@@ -453,11 +527,18 @@ def test_integer_d8_predicate_matches_certificate_replay():
     [
         (5, "e38bf93f122d4bb8c7f2d3fd81161bec7e30963f5517cfb20d46026261e05380"),
         (6, "37b54b52c640197ea02b3762c214d2073fb763dc751846fa67d99e5946640d4f"),
+        (9, "8230c01b6ba7bcc9e882c51b8c6c8e6312fd911a9e41b1f356b87cee2c29199d"),
     ],
 )
 def test_survey_output_is_pinned(capsys, height, digest):
     assert main(["survey", "--c-height", str(height), "--alpha-height", str(height)]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_survey_table_output_is_pinned(capsys):
+    assert main(["survey", "--c-height", "5", "--alpha-height", "5", "--format", "table"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "b3040bf2aa7c0c53f31ba1fa67c89dc94bd9717543b018feceb3b96bf4094e90"
 
 
 def test_classify_abelian_table():
