@@ -8,9 +8,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import List, Optional, Tuple
 
-from .dynamics import QuadPair, adjusted_orbit
+from .dynamics import QuadPair, _support_square, adjusted_orbit, iterate
 from .indexsets import IndexVector, is_progression
 from .squares import sqrt_exact
 
@@ -54,30 +55,26 @@ def is_smooth(curve: CurveSpec) -> bool:
     root iff f^(m2-m1)(alpha) = alpha, so distinct factors stay coprime as
     long as alpha is not periodic with period dividing the index gaps.
     """
-    top = max(curve.exponents)
-    orbit = adjusted_orbit(curve.pair, top)
-    if orbit.degeneracy_index is not None and orbit.degeneracy_index <= top:
+    if adjusted_orbit(curve.pair, max(curve.exponents)).degeneracy_index is not None:
         return False
-    if curve.l > 1:
-        z = curve.pair.alpha
-        for step in range(1, curve.k * (curve.l - 1) + 1):
-            z = curve.pair.f(z)
-            if step % curve.k == 0 and z == curve.pair.alpha:
-                return False
-    return True
+    # in normal form: beta among the k-th, 2k-th, ..., k(l-1)-th iterates of beta
+    c, beta = curve.pair.normal_form()
+    k = curve.k
+    return beta not in islice(iterate(c, beta), k - 1, k * (curve.l - 1), k)
 
 
 def rhs_eval(curve: CurveSpec, x: Fraction) -> Fraction:
-    """Exact value of the right-hand side at x."""
-    x = Fraction(x)
-    top = max(curve.exponents)
+    """Exact value of the right-hand side at x.
+
+    In normal form f^m(x) - alpha = g^m(x - a) - beta.
+    """
+    c, beta = curve.pair.normal_form()
     wanted = set(curve.exponents)
     out = Fraction(1)
-    z = x
-    for m in range(1, top + 1):
-        z = curve.pair.f(z)
+    orbit = iterate(c, Fraction(x) - curve.pair.a)
+    for m, z in enumerate(islice(orbit, max(wanted)), start=1):
         if m in wanted:
-            out *= z - curve.pair.alpha
+            out *= z - beta
     return out
 
 
@@ -117,18 +114,13 @@ def construct_point(
     if s - k - i0 < 0:
         raise ValueError(f"need s - k - i0 >= 0, got {s} - {k} - {i0}")
     curve = CurveSpec(pair, k, length, i0)
-    orbit = adjusted_orbit(pair, support[-1])
-    orbit.require_nondegenerate(support[-1])
-    prod = Fraction(1)
-    for i in support:
-        prod *= orbit.adjusted[i - 1]
-    y0 = sqrt_exact(prod)
+    prod, y0 = _support_square(pair, support)
     if y0 is None:
         return None
-    steps = s - k - i0
-    x0 = pair.critical_point
-    for _ in range(steps):
-        x0 = pair.f(x0)
+    # x0 = f^(s-k-i0)(a) = z_(s-k-i0) + a on the normal form's critical orbit
+    c, _ = pair.normal_form()
+    zs = [Fraction(0), *islice(iterate(c, Fraction(0)), s - k - i0)]
+    x0 = zs[-1] + pair.a
     rhs = rhs_eval(curve, x0)
     assert rhs == prod, "orbit identity violated"
     return ConstructedPoint(curve, x0, y0, prod)

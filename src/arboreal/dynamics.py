@@ -11,12 +11,14 @@ procedure below works on the normal form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from itertools import islice
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from .primes import is_probable_prime, smallest_prime_factor
-from .squares import _frac
+from .squares import _divide_out, _frac, sqrt_exact
 
 Rational = Union[int, Fraction]
 
@@ -95,18 +97,41 @@ class AdjustedOrbit:
             raise DegeneracyError(f"c_{idx} equals the basepoint shift (vanishing value)")
 
 
+def iterate(c: Fraction, z: Fraction) -> Iterator[Fraction]:
+    """g(z), g(g(z)), ... for g = x^2 + c; the critical orbit is iterate(c, 0).
+
+    Every rational orbit in the package is read from here.  Squaring with
+    ** skips the two gcds of Fraction multiplication: a reduced fraction's
+    square is reduced.
+    """
+    while True:
+        z = z**2 + c
+        yield z
+
+
 def adjusted_orbit(pair: QuadPair, N: int) -> AdjustedOrbit:
-    """First N raw and basepoint-adjusted orbit values, flagging degeneracy."""
+    """First N raw and basepoint-adjusted orbit values, flagging degeneracy.
+
+    Read off the normal form's critical orbit z_n: c_1 = b, c_n = z_n + a,
+    c_{1,alpha} = beta - z_1 and c_{n,alpha} = z_n - beta.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
-    raw: List[Fraction] = [pair.b]
-    z = pair.f(pair.a)  # f(a) = -b
-    for _ in range(N - 1):
-        z = pair.f(z)
-        raw.append(z)
-    adjusted = [raw[0] + pair.alpha] + [c - pair.alpha for c in raw[1:]]
-    degeneracy = next((i + 1 for i, c in enumerate(adjusted) if c == 0), None)
+    c, beta = pair.normal_form()
+    zs = list(islice(iterate(c, Fraction(0)), N))
+    raw = [pair.b] + [z + pair.a for z in zs[1:]]
+    adjusted = [beta - zs[0]] + [z - beta for z in zs[1:]]
+    degeneracy = next((i + 1 for i, v in enumerate(adjusted) if v == 0), None)
     return AdjustedOrbit(tuple(raw), tuple(adjusted), degeneracy)
+
+
+def _support_square(pair: QuadPair, support: Sequence[int]) -> Tuple[Fraction, Optional[Fraction]]:
+    """(P, sqrt(P)) for P the product of c_{i,alpha} over a nonempty support,
+    with None for a non-square P; DegeneracyError if a value vanishes."""
+    orbit = adjusted_orbit(pair, support[-1])
+    orbit.require_nondegenerate()
+    prod = math.prod((orbit.adjusted[i - 1] for i in support), start=Fraction(1))
+    return prod, sqrt_exact(prod)
 
 
 def in_post_critical_orbit(pair: QuadPair) -> bool:
@@ -126,14 +151,10 @@ def _in_critical_orbit(c: Fraction, beta: Fraction) -> bool:
         return False
     bound = max(abs(c), 2, abs(beta))
     seen = set()
-    z = Fraction(0)
-    while True:
-        z = z * z + c
+    for z in iterate(c, Fraction(0)):
         if z == beta:
             return True
-        if z in seen:
-            return False
-        if abs(z) > bound:
+        if z in seen or abs(z) > bound:
             return False
         if c.denominator > 1 and z.denominator > beta.denominator:
             return False
@@ -177,14 +198,10 @@ def is_pcf(pair: QuadPair) -> Union[PCF, PCI]:
         return PCI("valuation", 1, -c, smallest_prime_factor(c.denominator))
     bound = max(abs(c), 2)
     seen = {Fraction(0): 0}
-    z = Fraction(0)
-    n = 0
-    while True:
-        n += 1
-        z = z * z + c
+    for n, z in enumerate(iterate(c, Fraction(0)), start=1):
         if abs(z) > bound:
             # escape soundness: past the bound the orbit strictly grows
-            assert abs(z * z + c) > abs(z)
+            assert abs(next(iterate(c, z))) > abs(z)
             return PCI("escape", n, z)
         if z in seen:
             return PCF(seen[z], n - seen[z])
@@ -194,13 +211,8 @@ def is_pcf(pair: QuadPair) -> Union[PCF, PCI]:
 def verify_pcf(pair: QuadPair, verdict: PCF) -> bool:
     """Replay a PCF certificate: the orbit returns to its cycle entry."""
     c, _ = pair.normal_form()
-    z = Fraction(0)
-    for _ in range(verdict.preperiod):
-        z = z * z + c
-    entry = z
-    for _ in range(verdict.period):
-        z = z * z + c
-    return z == entry
+    zs = [Fraction(0), *islice(iterate(c, Fraction(0)), verdict.preperiod + verdict.period)]
+    return zs[verdict.preperiod] == zs[-1]
 
 
 def is_exceptional(pair: QuadPair) -> bool:
@@ -215,27 +227,12 @@ def is_exceptional(pair: QuadPair) -> bool:
     return c == 0 and beta == 0
 
 
-def _multiplicity(n: int, p: int) -> int:
-    """The largest v with p^v dividing the nonzero integer n.
-
-    Divides out p^(2^k) from the largest k down, in O(log v) big
-    divisions: orbit valuations reach 2^17 by depth 18.
-    """
-    powers = [p]
-    while n % powers[-1] == 0:
-        powers.append(powers[-1] * powers[-1])
-    v = 0
-    for k in range(len(powers) - 2, -1, -1):
-        quotient, rest = divmod(n, powers[k])
-        if not rest:
-            n, v = quotient, v + (1 << k)
-    return v
-
-
 def _valuation(q: Fraction, p: int) -> int:
     if q == 0:
         raise ValueError("0 has no valuation")
-    return _multiplicity(q.numerator, p) - _multiplicity(q.denominator, p)
+    # _divide_out divides out p^(2^k) from the largest k down: orbit
+    # valuations reach 2^17 by depth 18
+    return _divide_out(q.numerator, p)[1] - _divide_out(q.denominator, p)[1]
 
 
 @dataclass(frozen=True)

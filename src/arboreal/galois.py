@@ -28,17 +28,18 @@ from .dynamics import (
     PCI,
     QuadPair,
     _in_critical_orbit,
+    _support_square,
     _valuation,
     adjusted_orbit,
     in_post_critical_orbit,
     is_exceptional,
     is_pcf,
+    iterate,
 )
 from .indexsets import _support_of
 from .primes import is_probable_prime, primes_from, sieve
 from .squares import (
     QuadElement,
-    is_perfect_square,
     is_square_int,
     is_square_in_quad,
     quad_independent,
@@ -89,11 +90,7 @@ def contained_in_Mv(pair: QuadPair, v, orbit_budget: int = DEFAULT_ORBIT_BUDGET)
         raise ValueError(f"support index {support[-1]} exceeds orbit budget {orbit_budget}")
     if in_post_critical_orbit(pair):
         raise DegeneracyError("basepoint lies in the post-critical orbit")
-    orbit = adjusted_orbit(pair, support[-1])
-    prod = Fraction(1)
-    for i in support:
-        prod *= orbit.adjusted[i - 1]
-    return is_perfect_square(prod)
+    return _support_square(pair, support)[1] is not None
 
 
 def ab_dimension(pair: QuadPair, N: int) -> int:
@@ -666,11 +663,12 @@ def classify_abelian(
     # 3. faithful root plus a >= 2-dimensional orbit span: with c1 not a
     # square, span(c_1..c_n) >= 2 first at the first c_n outside {1, c1}
     if sqrt_exact(c1) is None and not in_post_critical_orbit(pair):
-        values = adjusted_orbit(pair, dim_N).adjusted
-        for n in range(2, dim_N + 1):
-            cn = values[n - 1]
+        values = [c1]
+        for z in islice(iterate(c, c), dim_N - 1):  # z_2, ..., z_dim_N
+            cn = z - beta
+            values.append(cn)
             if _independent_classes(q1, cn.numerator * cn.denominator):
-                cert3 = FaithfulNode2DimCert(c1, values[:n])
+                cert3 = FaithfulNode2DimCert(c1, tuple(values))
                 return AbelianVerdict("nonabelian", None, cert3, "level0-faithful-dimension", None)
 
     # 4. level-2 computation over a quadratic field from the backward orbit

@@ -1,10 +1,13 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
+import arboreal
 from arboreal.cli import MAX_ORBIT_N, build_parser, main, rationals_of_height
 from arboreal.dynamics import QuadPair, adjusted_orbit
 from arboreal.primes import primes_from
@@ -560,3 +563,35 @@ def test_negative_inputs_echo_without_padding(capsys):
     code, records = run_json(capsys, "poonen", "-c", "-1", "--alpha", "-1/3", "-p", "3")
     assert code == 0
     assert (records[0]["c"], records[0]["alpha"]) == ("-1", "-1/3")
+
+
+# The public contract: every name `import arboreal` binds that does not start
+# with "_", the submodules it imports included.
+PUBLIC_NAMES = {
+    "AbelianVerdict", "AdjustedOrbit", "BertrandFamily", "BudgetExceeded",
+    "CapExceeded", "CurveSpec", "DegeneracyError", "DegenerateSquareWarning",
+    "F2Vector", "GroupId", "IndexFamily", "IndexVector", "Label", "PCF", "PCI",
+    "QuadElement", "QuadPair", "SIGN", "SquareClass", "SubgroupGens", "TreeAut",
+    "ab_dimension", "abelianization", "act", "adjusted_orbit", "all_valuations_even",
+    "base_label", "bertrand_family", "classify_abelian", "closure", "compose",
+    "construct_point", "contained_in_Mv", "coprime_base", "curves", "dynamics", "f2",
+    "factorize", "faithful_nodes", "frobenius_sample", "galois", "good_primes", "in_Mv",
+    "in_post_critical_orbit", "in_span", "index_label", "indexsets", "inverse",
+    "is_exceptional", "is_pcf", "is_perfect_square", "is_progression",
+    "is_square_in_quad", "level", "level2_galois", "m_coprime_witness",
+    "naive_point_search", "nonabelian_prime_search", "orbit_valuations", "phi", "polys",
+    "poonen_check", "prime_label", "primes", "progressing_witness", "quad_independent",
+    "rank", "replay_certificate", "restrict", "rhs_eval", "span_dimension",
+    "square_class", "squares", "tilde_phi", "treegroup", "verify_noncommutation",
+}
+
+
+def test_public_names_are_pinned():
+    # a fresh interpreter, since importing arboreal.cli here binds one more name
+    src = os.path.dirname(os.path.dirname(arboreal.__file__))
+    script = "import arboreal; print(' '.join(n for n in dir(arboreal) if not n.startswith('_')))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    names = out.stdout.split()
+    assert len(names) == len(PUBLIC_NAMES) == 76
+    assert set(names) == PUBLIC_NAMES

@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import general_pairs, reference_orbit
 
 from arboreal.curves import CurveSpec, construct_point, is_smooth, naive_point_search, rhs_eval
-from arboreal.dynamics import QuadPair, adjusted_orbit
+from arboreal.dynamics import DegeneracyError, QuadPair, adjusted_orbit
 from arboreal.indexsets import IndexVector
 from arboreal.squares import sqrt_exact
 
@@ -119,3 +120,81 @@ def test_construct_point_presence_iff_square_product():
             if abs(point.x.numerator) <= 30 and point.x.denominator <= 30:
                 assert (point.x, point.y) in naive_point_search(point.curve, 30)
     assert found_some >= 3
+
+
+def reference_rhs(curve, x):
+    """The right-hand side stepped with pair.f on the general form."""
+    out, z = F(1), F(x)
+    for m in range(1, max(curve.exponents) + 1):
+        z = curve.pair.f(z)
+        if m in curve.exponents:
+            out *= z - curve.pair.alpha
+    return out
+
+
+def reference_smooth(curve):
+    """No vanishing adjusted value up to the top exponent, and alpha not
+    among its k-th, ..., k(l-1)-th iterates under pair.f."""
+    if reference_orbit(curve.pair, max(curve.exponents))[2] is not None:
+        return False
+    z = curve.pair.alpha
+    for step in range(1, curve.k * (curve.l - 1) + 1):
+        z = curve.pair.f(z)
+        if step % curve.k == 0 and z == curve.pair.alpha:
+            return False
+    return True
+
+
+def periodic_pairs(seed, count):
+    """Seeded (a, b, alpha) with a != 0 and alpha of period 2 under f: on the
+    normal form x^2 + c with c = -(3 + t^2)/4, beta = (t - 1)/2 has period 2."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        a = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+        t = F(rng.randint(1, 9), rng.randint(1, 3))
+        c, beta = -(3 + t * t) / 4, (t - 1) / 2
+        yield QuadPair(a, -c - a, beta + a)
+
+
+def test_general_form_curves_match_reference_loops():
+    rng = random.Random(23)
+    pairs = list(general_pairs(29, 40)) + list(periodic_pairs(31, 20))
+    verdicts = set()
+    for pair in pairs:
+        for k in range(1, 4):
+            for l in range(1, 4):
+                curve = CurveSpec(pair, k, l, rng.randint(1, 2))
+                smooth = is_smooth(curve)
+                assert smooth == reference_smooth(curve)
+                verdicts.add((smooth, reference_orbit(pair, max(curve.exponents))[2] is None))
+                x = F(rng.randint(-5, 5), rng.randint(1, 3))
+                assert rhs_eval(curve, x) == reference_rhs(curve, x)
+    # smooth, degenerate, and nondegenerate but periodic curves all occur
+    assert verdicts == {(True, True), (False, False), (False, True)}
+
+
+def test_general_form_constructed_point_matches_reference_loop():
+    rng = random.Random(37)
+    built = degenerate = 0
+    for i, pair in enumerate(general_pairs(41, 160)):
+        s = rng.randint(2, 5)
+        k = rng.randint(1, s - 1)
+        i0 = rng.randint(1, s - k)
+        t = F(rng.randint(1, 6), rng.randint(1, 3))
+        if i % 4:
+            # shift the basepoint so that c_{s,alpha} = f^s(a) - alpha = t^2;
+            # general_pairs made every fourth basepoint degenerate instead
+            top = reference_orbit(QuadPair(pair.a, pair.b, 0), s)[0][-1]
+            pair = QuadPair(pair.a, pair.b, top - t * t)
+        if reference_orbit(pair, s)[2] is not None:
+            with pytest.raises(DegeneracyError):
+                construct_point(pair, IndexVector({s}), i0, k=k)
+            degenerate += 1
+        elif i % 4:
+            point = construct_point(pair, IndexVector({s}), i0, k=k)
+            x0 = pair.a
+            for _ in range(s - k - i0):
+                x0 = pair.f(x0)
+            assert (point.x, point.y, point.product) == (x0, t, t * t)
+            built += 1
+    assert built >= 100 and degenerate >= 10

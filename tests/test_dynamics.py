@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import general_pairs, reference_orbit
+
 from arboreal import polys
 from arboreal.cli import rationals_of_height
 from arboreal.dynamics import (
@@ -47,16 +49,18 @@ def test_normal_form_fixed_point():
 
 
 def test_normal_form_preserves_adjusted_orbit():
-    rng = random.Random(5)
-    for _ in range(100):
-        pair = QuadPair(
-            F(rng.randint(-9, 9), rng.randint(1, 4)),
-            F(rng.randint(-9, 9), rng.randint(1, 4)),
-            F(rng.randint(-9, 9), rng.randint(1, 4)),
-        )
+    degenerate = 0
+    for pair in general_pairs(5, 200):
         c, beta = pair.normal_form()
         normal = QuadPair.from_normal(c, beta)
-        assert adjusted_orbit(pair, 8).adjusted == adjusted_orbit(normal, 8).adjusted
+        for N in (1, 2, 5, 8):
+            raw, adjusted, degeneracy = reference_orbit(pair, N)
+            orbit = adjusted_orbit(pair, N)
+            assert orbit.raw == raw and orbit.adjusted == adjusted
+            assert orbit.degeneracy_index == degeneracy
+            assert adjusted_orbit(normal, N).adjusted == adjusted
+        degenerate += reference_orbit(pair, 8)[2] is not None
+    assert degenerate >= 50
 
 
 def test_adjusted_orbit_examples():

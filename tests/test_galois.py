@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import takewhile
@@ -449,6 +450,26 @@ def test_faithful_node_step_matches_span_prefix_rule(dim_N):
                 assert verdict.to_json() == expected.to_json()
                 fired += 1
     assert fired >= 20
+
+
+def test_faithful_node_step_is_lazy():
+    # step 3 stops at the first c_n independent of c_1: a deep dim_N never
+    # builds c_dim_N, whose size doubles with each index
+    start = time.perf_counter()
+    deep = classify_abelian(QuadPair.from_normal(-4, 4), dim_N=40)
+    assert time.perf_counter() - start < 1.0
+    assert deep.provenance == "level0-faithful-dimension"
+    assert deep.to_json() == classify_abelian(QuadPair.from_normal(-4, 4), dim_N=12).to_json()
+    grid = rationals_of_height(5)
+    fired = 0
+    for c in grid:
+        for beta in grid:
+            pair = QuadPair.from_normal(c, beta)
+            verdict = classify_abelian(pair, dim_N=12)
+            if verdict.provenance == "level0-faithful-dimension":
+                assert classify_abelian(pair, dim_N=40).to_json() == verdict.to_json()
+                fired += 1
+    assert fired >= 10
 
 
 def test_classifier_decides_without_the_gcd_free_basis(monkeypatch):
