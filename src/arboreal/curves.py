@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import List, Optional, Tuple
 
-from .dynamics import QuadPair, _support_square, adjusted_orbit, iterate
+from .dynamics import QuadPair, _in_critical_orbit, _support_square, iterate
 from .indexsets import IndexVector, is_progression
 from .squares import sqrt_exact
 
@@ -55,10 +55,11 @@ def is_smooth(curve: CurveSpec) -> bool:
     root iff f^(m2-m1)(alpha) = alpha, so distinct factors stay coprime as
     long as alpha is not periodic with period dividing the index gaps.
     """
-    if adjusted_orbit(curve.pair, max(curve.exponents)).degeneracy_index is not None:
+    c, beta = curve.pair.normal_form()
+    hit = _in_critical_orbit(c, beta)  # the first vanishing adjusted value
+    if hit is not None and hit <= max(curve.exponents):
         return False
     # in normal form: beta among the k-th, 2k-th, ..., k(l-1)-th iterates of beta
-    c, beta = curve.pair.normal_form()
     k = curve.k
     return beta not in islice(iterate(c, beta), k - 1, k * (curve.l - 1), k)
 

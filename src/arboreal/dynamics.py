@@ -22,6 +22,10 @@ from .squares import _divide_out, _frac, sqrt_exact
 
 Rational = Union[int, Fraction]
 
+# Deepest exact orbit list, checked in adjusted_orbit: c_n has about 2^n digits,
+# and (x^2 + 1/3, 2) at N = 18 prints 0.5 MB in about 0.4 s.
+MAX_ORBIT_N = 18
+
 
 class DegeneracyError(Exception):
     """The basepoint lies in the post-critical orbit (a vanishing c_{n,alpha})."""
@@ -113,10 +117,13 @@ def adjusted_orbit(pair: QuadPair, N: int) -> AdjustedOrbit:
     """First N raw and basepoint-adjusted orbit values, flagging degeneracy.
 
     Read off the normal form's critical orbit z_n: c_1 = b, c_n = z_n + a,
-    c_{1,alpha} = beta - z_1 and c_{n,alpha} = z_n - beta.
+    c_{1,alpha} = beta - z_1 and c_{n,alpha} = z_n - beta.  N above
+    MAX_ORBIT_N is a ValueError.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    if N > MAX_ORBIT_N:
+        raise ValueError(f"need N <= {MAX_ORBIT_N}, got {N}")
     c, beta = pair.normal_form()
     zs = list(islice(iterate(c, Fraction(0)), N))
     raw = [pair.b] + [z + pair.a for z in zs[1:]]
@@ -142,22 +149,24 @@ def in_post_critical_orbit(pair: QuadPair) -> bool:
     denominator already larger than beta's: denominators of the orbit grow as
     den(c)^(2^(n-1)), so no later term can equal beta.
     """
-    return _in_critical_orbit(*pair.normal_form())
+    return _in_critical_orbit(*pair.normal_form()) is not None
 
 
-def _in_critical_orbit(c: Fraction, beta: Fraction) -> bool:
-    """in_post_critical_orbit on the normal form (x^2 + c, beta)."""
+def _in_critical_orbit(c: Fraction, beta: Fraction) -> Optional[int]:
+    """The first n with z_n = beta on the critical orbit of x^2 + c, or None:
+    the index at which c_{n,beta} first vanishes, found without an orbit list.
+    """
     if c.denominator == 1 and beta.denominator > 1:
-        return False
+        return None
     bound = max(abs(c), 2, abs(beta))
     seen = set()
-    for z in iterate(c, Fraction(0)):
+    for n, z in enumerate(iterate(c, Fraction(0)), start=1):
         if z == beta:
-            return True
+            return n
         if z in seen or abs(z) > bound:
-            return False
+            return None
         if c.denominator > 1 and z.denominator > beta.denominator:
-            return False
+            return None
         seen.add(z)
 
 
@@ -254,9 +263,9 @@ def orbit_valuations(c: Rational, p: int, N: int) -> ValuationReport:
     v(c_m) = v(c_n0) exactly when n0 | m and 0 otherwise.
     """
     c = _frac(c)
+    orbit = adjusted_orbit(QuadPair.from_normal(c, 0), N)  # a deep N is reported first
     if not is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
-    orbit = adjusted_orbit(QuadPair.from_normal(c, 0), N)
     if orbit.degeneracy_index is not None:
         raise DegeneracyError(f"c_{orbit.degeneracy_index} = 0: the orbit vanishes")
     values = tuple(_valuation(cn, p) for cn in orbit.raw)

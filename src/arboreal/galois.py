@@ -24,6 +24,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, U
 
 from . import polys
 from .dynamics import (
+    MAX_ORBIT_N,
     DegeneracyError,
     PCI,
     QuadPair,
@@ -49,7 +50,6 @@ from .squares import (
 
 Rational = Union[int, Fraction]
 
-DEFAULT_ORBIT_BUDGET = 24  # largest support index contained_in_Mv accepts
 DEFAULT_PRIME_BOUND = 100  # odd primes scanned by the local ramification test
 DEFAULT_DIM_N = 12  # orbit values spanned by the faithful-node certificate
 _BACKWARD_DEPTH = 8  # backward-orbit levels walked for a quadratic field
@@ -73,21 +73,22 @@ class GroupId(Enum):
         return self is not GroupId.D8
 
 
-def contained_in_Mv(pair: QuadPair, v, orbit_budget: int = DEFAULT_ORBIT_BUDGET) -> bool:
+def contained_in_Mv(pair: QuadPair, v) -> bool:
     """Whether the arboreal image lies in the maximal subgroup named by v.
 
     Equivalent to the product of the adjusted-orbit values over the support
     of v being a rational square.  The empty support names the full group and
     returns True for any pair; otherwise the basepoint must avoid the
-    post-critical orbit.
+    post-critical orbit, and a support index above MAX_ORBIT_N is a
+    ValueError, whatever the pair.
     """
     support = _support_of(v)
     if not support:
         return True
     if support[0] < 1:
         raise ValueError("support indices are positive")
-    if support[-1] > orbit_budget:
-        raise ValueError(f"support index {support[-1]} exceeds orbit budget {orbit_budget}")
+    if support[-1] > MAX_ORBIT_N:
+        raise ValueError(f"need support indices <= {MAX_ORBIT_N}, got {support[-1]}")
     if in_post_critical_orbit(pair):
         raise DegeneracyError("basepoint lies in the post-critical orbit")
     return _support_square(pair, support)[1] is not None
@@ -331,12 +332,12 @@ def _poonen_at(
     alpha_mod: Optional[int],
     cycle: Optional[FrozenSet[int]],
     p: int,
-    in_exact_orbit: Callable[[], bool],
+    exact_hit: Callable[[], Optional[int]],
 ) -> Tuple[Optional[str], str]:
     """(condition, details) of poonen_check at the odd prime p, given
-    alpha_mod = alpha mod p and the cycle of 0 modulo p; in_exact_orbit()
-    answers whether alpha lies in the exact orbit of 0, and is asked only
-    when the residues leave the verdict open.
+    alpha_mod = alpha mod p and the cycle of 0 modulo p; exact_hit() is the
+    first n with f^n(0) = alpha, or None, and is asked only when the residues
+    leave the verdict open.
     """
     if alpha_mod is None:
         return "a", f"v_{p}(alpha) = {_valuation(alpha, p)} < 0"
@@ -344,7 +345,7 @@ def _poonen_at(
         return None, "0 is not periodic modulo p"
     if alpha_mod not in cycle:
         return None, "alpha misses the modular orbit of 0"
-    if in_exact_orbit():
+    if exact_hit() is not None:
         return None, "alpha lies in the exact orbit of 0"
     return "b", f"0 periodic mod {p} with period {len(cycle)}, alpha on the orbit"
 
@@ -366,8 +367,8 @@ def poonen_check(c: Rational, alpha: Rational, p: int) -> PoonenResult:
     if c_mod is None:
         raise ValueError("the test needs v_p(c) >= 0")
     alpha_mod = polys.reduce_mod(alpha.numerator, alpha.denominator, p)
-    in_exact_orbit = partial(_in_critical_orbit, c, alpha)
-    condition, details = _poonen_at(alpha, alpha_mod, _zero_cycle(c_mod, p), p, in_exact_orbit)
+    exact_hit = partial(_in_critical_orbit, c, alpha)
+    condition, details = _poonen_at(alpha, alpha_mod, _zero_cycle(c_mod, p), p, exact_hit)
     return PoonenResult(condition, p, details)
 
 
@@ -398,22 +399,22 @@ def nonabelian_prime_search(
         basepoints.extend([shift, -shift])
     if bound > MAX_PRIME_BOUND:
         raise ValueError(f"need prime_bound <= {MAX_PRIME_BOUND}, got {bound}")
-    exact: Dict[Fraction, bool] = {}
+    exact: Dict[Fraction, Optional[int]] = {}
 
-    def in_exact_orbit(bp: Fraction) -> bool:
+    def exact_hit(bp: Fraction) -> Optional[int]:
         if bp not in exact:
             exact[bp] = _in_critical_orbit(c, bp)
         return exact[bp]
 
     c_num, c_den = c.numerator, c.denominator
-    points = [(bp, bp.numerator, bp.denominator, partial(in_exact_orbit, bp)) for bp in basepoints]
+    points = [(bp, bp.numerator, bp.denominator, partial(exact_hit, bp)) for bp in basepoints]
     for p in _sieved_odd_primes(bound):
         c_mod = polys.reduce_mod(c_num, c_den, p)
         if c_mod is None:  # v_p(c) < 0
             continue
         cycle = _zero_cycle(c_mod, p)
-        for bp, num, den, bp_in_exact_orbit in points:
-            condition, _ = _poonen_at(bp, polys.reduce_mod(num, den, p), cycle, p, bp_in_exact_orbit)
+        for bp, num, den, bp_exact_hit in points:
+            condition, _ = _poonen_at(bp, polys.reduce_mod(num, den, p), cycle, p, bp_exact_hit)
             if condition is not None:
                 return p, condition, bp
     return None

@@ -4,12 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import arboreal
-from arboreal.cli import MAX_ORBIT_N, build_parser, main, rationals_of_height
-from arboreal.dynamics import QuadPair, adjusted_orbit
+import arboreal.curves
+import arboreal.galois
+from arboreal.cli import build_parser, main, rationals_of_height
+from arboreal.dynamics import MAX_ORBIT_N, QuadPair, adjusted_orbit
 from arboreal.primes import primes_from
 
 
@@ -411,6 +414,60 @@ def test_valuations_depth_is_capped(capsys):
     assert captured.err == f"arboreal: input error: need N <= {MAX_ORBIT_N}, got {MAX_ORBIT_N + 1}\n"
 
 
+# every command that lists exact orbit values, at depth MAX_ORBIT_N and one
+# past it (`{n}` stands for the depth)
+DEEP_ORBIT_ARGVS = [
+    ["orbit", "1/3,2", "-N", "{n}"],
+    ["valuations", "-c", "1/3", "-p", "3", "-N", "{n}"],
+    ["abdim", "1/3,2", "-N", "{n}", "--factor-budget", "1000"],
+    ["classify", "1/3,2", "--dim-n", "{n}"],
+    ["contain", "1/3,2", "{{{n}}}"],
+    ["contain", "-1,0", "{{{n}}}"],  # degenerate: the depth is reported first
+    ["curve", "-1,1/2", "--vector", "{{{m},{n}}}"],
+]
+
+
+@pytest.mark.parametrize("argv", DEEP_ORBIT_ARGVS, ids=lambda argv: argv[0])
+def test_exact_orbit_lists_stop_at_max_orbit_n(capsys, monkeypatch, argv):
+    real_iterate = arboreal.dynamics.iterate
+
+    def capped_iterate(c, z):
+        for n, value in enumerate(real_iterate(c, z), start=1):
+            assert n <= MAX_ORBIT_N, "an orbit value past c_18 was built"
+            yield value
+
+    for module in (arboreal.dynamics, arboreal.galois, arboreal.curves):
+        monkeypatch.setattr(module, "iterate", capped_iterate)
+
+    def at(n):
+        return [a.format(n=n, m=n - 1) for a in argv]
+
+    degenerate = argv[1] == "-1,0"
+    assert main(at(MAX_ORBIT_N)) == (2 if degenerate else 0)
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(at(MAX_ORBIT_N + 1)) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("arboreal: input error: need ")
+    assert captured.err.endswith(f" <= {MAX_ORBIT_N}, got {MAX_ORBIT_N + 1}\n")
+
+
+def test_orbit_depth_is_checked_before_the_prime(capsys):
+    assert main(["valuations", "-c", "1/3", "-p", "4", "-N", str(MAX_ORBIT_N + 1)]) == 1
+    assert capsys.readouterr().err == f"arboreal: input error: need N <= {MAX_ORBIT_N}, got {MAX_ORBIT_N + 1}\n"
+    assert main(["valuations", "-c", "1/3", "-p", "4", "-N", str(MAX_ORBIT_N)]) == 1
+    assert capsys.readouterr().err == "arboreal: input error: 4 is not prime\n"
+
+
+def test_lazy_classifier_depth_is_not_capped(capsys):
+    assert main(["survey", "--c-height", "2", "--alpha-height", "2", "--dim-n", "40"]) == 0
+    deep = json.loads(capsys.readouterr().out)
+    assert main(["survey", "--c-height", "2", "--alpha-height", "2"]) == 0
+    assert deep == json.loads(capsys.readouterr().out)
+
+
 # subcommands in turn on one parser, with a setting given and then left out,
 # and a failing parse (exit 1) in the middle
 PARSER_ROUND = [
@@ -492,7 +549,7 @@ SUBCOMMAND_OPTIONS = {
     "survey": {"--c-height", "--alpha-height", "--prime-bound", "--dim-n"},
     "orbit": {"pair", "-N", "--n"},
     "pcf": {"pairs"},
-    "contain": {"pair", "vector", "--orbit-budget"},
+    "contain": {"pair", "vector"},
     "abdim": {"pair", "-N", "--n", "--factor-budget"},
     "group2": {"pair", "--frobenius"},
     "valuations": {"-c", "-p", "-N", "--n"},
@@ -519,8 +576,8 @@ def test_unread_setting_is_input_error(capsys):
     assert main(["classify", "1,0", "--factor-budget", "10"]) == 1
     assert main(["abdim", "1,0", "--dim-n", "3"]) == 1
     assert main(["contain", "1,0", "{1}", "--prime-bound", "5"]) == 1
-    assert main(["tree-verify", "3", "--orbit-budget", "2"]) == 1
-    assert "unrecognized arguments: --orbit-budget 2" in capsys.readouterr().err
+    assert main(["tree-verify", "3", "--factor-budget", "2"]) == 1
+    assert "unrecognized arguments: --factor-budget 2" in capsys.readouterr().err
 
 
 def test_survey_negative_height_is_input_error(capsys):

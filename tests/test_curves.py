@@ -5,7 +5,8 @@ import pytest
 from conftest import general_pairs, reference_orbit
 
 from arboreal.curves import CurveSpec, construct_point, is_smooth, naive_point_search, rhs_eval
-from arboreal.dynamics import DegeneracyError, QuadPair, adjusted_orbit
+from arboreal.cli import rationals_of_height
+from arboreal.dynamics import MAX_ORBIT_N, DegeneracyError, QuadPair, adjusted_orbit
 from arboreal.indexsets import IndexVector
 from arboreal.squares import sqrt_exact
 
@@ -143,6 +144,38 @@ def reference_smooth(curve):
         if step % curve.k == 0 and z == curve.pair.alpha:
             return False
     return True
+
+
+def test_smoothness_matches_the_adjusted_orbit_rule():
+    # every pair of height <= 6 with one curve each, its top exponent cycling
+    # through 2..MAX_ORBIT_N, and single factors of degree 2^2..2^5, where the
+    # first vanishing value meets the top exponent: is_smooth walks the
+    # critical orbit instead of listing c_1..c_top, and must agree with the
+    # rule that listed them
+    grid = rationals_of_height(6)
+    specs = [(1, 1, top - 1) for top in range(2, MAX_ORBIT_N + 1)]
+    specs += [(k, 2, top - 2 * k) for k in (1, 2, 3) for top in range(2 * k + 1, MAX_ORBIT_N + 1)]
+    verdicts = set()
+    boundary = 0
+    for i, (c, beta) in enumerate((c, beta) for c in grid for beta in grid):
+        pair = QuadPair.from_normal(c, beta)
+        first = adjusted_orbit(pair, 5).degeneracy_index
+        for top in range(2, 6):
+            expected = first is None or first > top
+            assert is_smooth(CurveSpec(pair, 1, 1, top - 1)) == expected
+            boundary += first == top
+        curve = CurveSpec(pair, *specs[i % len(specs)])
+        top = max(curve.exponents)
+        assert top <= MAX_ORBIT_N
+        degenerate = adjusted_orbit(pair, top).degeneracy_index is not None
+        z = beta  # with l <= 2, the factors share a root when g^k(beta) = beta
+        for _ in range(curve.k):
+            z = z * z + c
+        periodic = curve.l == 2 and z == beta
+        assert is_smooth(curve) == (not degenerate and not periodic)
+        verdicts.add((degenerate, periodic))
+    assert verdicts == {(False, False), (True, False), (False, True), (True, True)}
+    assert boundary >= 5
 
 
 def periodic_pairs(seed, count):

@@ -10,10 +10,12 @@ from conftest import general_pairs, reference_orbit
 from arboreal import polys
 from arboreal.cli import rationals_of_height
 from arboreal.dynamics import (
+    MAX_ORBIT_N,
     DegeneracyError,
     PCF,
     PCI,
     QuadPair,
+    _in_critical_orbit,
     _valuation,
     adjusted_orbit,
     in_post_critical_orbit,
@@ -105,6 +107,24 @@ def test_in_post_critical_orbit():
     assert in_post_critical_orbit(QuadPair.from_normal(F(-1, 2), F(-1, 4)))  # f^2(0)
     # integral orbit never meets a non-integral basepoint
     assert not in_post_critical_orbit(QuadPair.from_normal(-1, F(1, 3)))
+
+
+def test_critical_orbit_hit_is_the_degeneracy_index():
+    # every pair of height <= 6, with N cycling through 1..MAX_ORBIT_N: the
+    # walk's first hit, when it is at most N, is where adjusted_orbit first
+    # finds a vanishing value
+    grid = rationals_of_height(6)
+    pairs = [(c, beta) for c in grid for beta in grid]
+    assert len(pairs) == 2209
+    seen = set()
+    for i, (c, beta) in enumerate(pairs):
+        N = 1 + i % MAX_ORBIT_N
+        hit = _in_critical_orbit(c, beta)
+        expected = adjusted_orbit(QuadPair.from_normal(c, beta), N).degeneracy_index
+        assert (hit if hit is not None and hit <= N else None) == expected
+        assert in_post_critical_orbit(QuadPair.from_normal(c, beta)) == (hit is not None)
+        seen.add("none" if hit is None else "within" if hit <= N else "past")
+    assert seen == {"none", "within", "past"}
 
 
 def test_is_pcf_census_known_cases():

@@ -57,7 +57,7 @@ def test_contained_degenerate_raises():
 
 def test_contained_budget():
     with pytest.raises(ValueError):
-        contained_in_Mv(QuadPair.from_normal(3, 1), {40}, orbit_budget=24)
+        contained_in_Mv(QuadPair.from_normal(3, 1), {40})
 
 
 def nondegenerate_pairs(count, seed, span=9):
@@ -427,6 +427,15 @@ def reference_step3(pair, dim_N):
             cert = FaithfulNode2DimCert(c1, values[:n])
             return AbelianVerdict("nonabelian", None, cert, "level0-faithful-dimension")
     return None
+
+
+def test_faithful_node_certificate_rejects_bad_inputs():
+    good = FaithfulNode2DimCert(F(2), (F(2), F(3)))
+    assert good.replay()
+    # a square c1, or a vanishing c1 or orbit value, proves nothing
+    assert not FaithfulNode2DimCert(F(4, 9), (F(4, 9), F(3))).replay()
+    assert not FaithfulNode2DimCert(F(0), (F(0), F(3))).replay()
+    assert not FaithfulNode2DimCert(F(2), (F(2), F(0), F(3))).replay()
 
 
 # verdicts returned before step 3 is reached

@@ -198,3 +198,32 @@ def test_prefix_witness_needs_no_scan_of_the_support():
     report = m_coprime_witness(IndexFamily([IndexVector.prefix(10**7)]), 0)
     assert report.witnesses == (9_999_991,)
     assert time.perf_counter() - start < 1.0
+
+
+def test_full_coprimality_pass_matches_brute_force():
+    # non-interval supports whose 128 smallest other indices above M are all
+    # coprime to the candidate i, so the cheap pass cannot decide and the
+    # full pass (gcd with the product of the others mod i) does; i is the
+    # largest index, so m_coprime_witness decides it first
+    rng = random.Random(15)
+    outcomes = set()
+    for _ in range(60):
+        M = rng.choice([0, 0, rng.randint(1, 40)])
+        i = rng.choice([d for d in range(1500, 3000) if not all(d % p for p in (2, 3, 5, 7))])
+        low = [j for j in range(M + 1, 1000) if math.gcd(i, j) == 1]
+        support = set(rng.sample(low, rng.randint(129, 200)))
+        high = rng.sample(range(1000, i), rng.randint(2, 399 - len(support)))
+        if rng.random() < 0.5:
+            high = [j for j in high if math.gcd(i, j) == 1]
+        support |= set(high) | {i}
+        v = IndexVector(support)
+        others = [j for j in v.support if j > M and j != i]
+        assert not _is_interval(v.support) and 130 <= len(v) <= 400 and len(others) > 128
+        assert all(math.gcd(i, j) == 1 for j in others[:128])
+        valid = _brute_valid(i, v.support, M)
+        assert _witness_valid(i, v.support, M) == valid
+        expected = max((j for j in v if j > M and _brute_valid(j, v.support, M)), default=None)
+        assert m_coprime_witness(IndexFamily([v]), M).witnesses == (expected,)
+        assert (expected == i) == valid
+        outcomes.add(valid)
+    assert outcomes == {True, False}

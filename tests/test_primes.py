@@ -129,3 +129,12 @@ def test_block_table_is_built_only_past_the_first_block(capsys):
         assert primes._block_table.cache_info().currsize == 1
     finally:
         capsys.readouterr()
+
+
+def test_factorize_splits_a_perfect_square_past_trial_division():
+    # both primes lie past the trial limit, so _split meets (p*q)^2 whole and
+    # takes its square root before rho
+    p = next_prime(TRIAL_LIMIT + 1)
+    q = next_prime(p + 1)
+    assert (p, q) == (1_000_003, 1_000_033)
+    assert factorize((p * q) ** 2) == {p: 2, q: 2}
