@@ -47,21 +47,39 @@ class CurveSpec:
         return f"y^2 = {factors} for {self.pair.describe()}"
 
 
+def _period(c: Fraction, beta: Fraction) -> Optional[int]:
+    """The period of beta under x^2 + c, or None when beta is not periodic.
+
+    The walk from beta ends within a bounded number of steps: at the first
+    return to beta; at a repeat of another value (beta is strictly
+    preperiodic); at |z| > max(|c|, 2, |beta|), after which absolute values
+    strictly increase; or at a denominator other than den(beta), since every
+    point of a rational cycle has denominator sqrt(den(c)).
+    """
+    bound = max(abs(c), 2, abs(beta))
+    seen = set()
+    for n, z in enumerate(iterate(c, beta), start=1):
+        if z == beta:
+            return n
+        if z in seen or abs(z) > bound or z.denominator != beta.denominator:
+            return None
+        seen.add(z)
+
+
 def is_smooth(curve: CurveSpec) -> bool:
     """No repeated roots on the right-hand side.
 
     Each factor f^m - alpha is separable iff no adjusted-orbit value up to m
     vanishes; two factors f^(m1) - alpha, f^(m2) - alpha (m1 < m2) share a
-    root iff f^(m2-m1)(alpha) = alpha, so distinct factors stay coprime as
-    long as alpha is not periodic with period dividing the index gaps.
+    root iff f^(m2-m1)(alpha) = alpha, so distinct factors stay coprime
+    unless alpha is periodic with period P dividing some gap k*j, j < l.
     """
     c, beta = curve.pair.normal_form()
     hit = _in_critical_orbit(c, beta)  # the first vanishing adjusted value
     if hit is not None and hit <= max(curve.exponents):
         return False
-    # in normal form: beta among the k-th, 2k-th, ..., k(l-1)-th iterates of beta
-    k = curve.k
-    return beta not in islice(iterate(c, beta), k - 1, k * (curve.l - 1), k)
+    period = _period(c, beta)  # in normal form, alpha's period is beta's
+    return period is None or all(curve.k * j % period for j in range(1, curve.l))
 
 
 def rhs_eval(curve: CurveSpec, x: Fraction) -> Fraction:

@@ -55,6 +55,7 @@ DEFAULT_DIM_N = 12  # orbit values spanned by the faithful-node certificate
 _BACKWARD_DEPTH = 8  # backward-orbit levels walked for a quadratic field
 _ZERO_CYCLE_CACHE = 4096  # (c mod p, p) keys whose cycle of 0 is kept
 MAX_PRIME_BOUND = 10**6  # largest prime_bound: the ramification test sieves up to it
+MAX_GOOD_PRIMES = 10**4  # largest good_primes count: 10^4 level-2 primes take about 1.7 s
 
 
 class GroupId(Enum):
@@ -251,11 +252,11 @@ def good_primes(pair: QuadPair, level: int, count: int) -> List[int]:
     Its discriminant is +-2^e prod_{i <= level} c_{i,beta}^(2^(level-i))
     (Jones 2008), so an odd p is good exactly when c_{1,beta}, ...,
     c_{level,beta} are p-adic units: nothing is built or factored.  Raises
-    ValueError for a negative count and DegeneracyError when an
-    adjusted-orbit value vanishes by `level`.
+    ValueError for a count outside 0..MAX_GOOD_PRIMES and DegeneracyError
+    when an adjusted-orbit value vanishes by `level`.
     """
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
+    if not 0 <= count <= MAX_GOOD_PRIMES:
+        raise ValueError(f"count must be nonnegative and <= {MAX_GOOD_PRIMES}, got {count}")
     _, _, adjusted = _level_data(pair, level)
     good = (p for p in primes_from(3) if _good_reduction(adjusted, p))
     return list(islice(good, count))

@@ -17,6 +17,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from .f2 import F2Vector, in_span, index_label
 from .primes import sieve
 
+MAX_BERTRAND_TERM = 5 * 10**4  # largest Bertrand term: `bertrand --upto 50000 --check-coprime` takes about 2.5 s
+
 
 def _is_interval(support: Sequence[int]) -> bool:
     """Whether a sorted support of distinct indices is {first, ..., last}."""
@@ -263,10 +265,13 @@ def bertrand_family(a: Sequence[int]) -> BertrandFamily:
 
     The witness for a_n = 1 is 1; otherwise it is the largest prime
     p <= a_n, and 2p > a_n must hold (Bertrand's postulate guarantees it, so
-    a failure is a build-stopping bug).
+    a failure is a build-stopping bug).  A term above MAX_BERTRAND_TERM is a
+    ValueError: the primes up to the last term are sieved.
     """
     if not a:
         raise ValueError("need at least one term")
+    if a[-1] > MAX_BERTRAND_TERM:
+        raise ValueError(f"need terms <= {MAX_BERTRAND_TERM}, got {a[-1]}")
     prev = 0
     for t in a:
         if t <= prev:

@@ -3,12 +3,17 @@
 Coefficient lists are ascending (f[i] multiplies x^i) with entries in
 [0, p).  There is no Q[x] arithmetic: level_poly builds the level polynomial
 of a quadratic pair directly mod p, and rationals enter only through
-reduce_mod.  Only small degrees (iterates of a quadratic up to level 3) pass
-through here, so everything is the plain schoolbook algorithm.
+reduce_mod.  The degrees are small (2^level for the level polynomial), so
+products are schoolbook; factor_degrees saves work by reducing through one
+remainder routine with a monic divisor and by reusing the Frobenius map
+h -> h^p as a matrix (von zur Gathen and Shoup, "Computing Frobenius maps
+and factoring polynomials", Comput. Complexity 2, 1992).
 """
 
 from __future__ import annotations
 
+from itertools import zip_longest
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 ModPoly = List[int]
@@ -57,8 +62,8 @@ def pm_mul(f: ModPoly, g: ModPoly, p: int) -> ModPoly:
     for i, a in enumerate(f):
         if a:
             for j, b in enumerate(g, i):
-                out[j] = (out[j] + a * b) % p
-    return pm_trim(out)
+                out[j] += a * b
+    return pm_trim([c % p for c in out])
 
 
 def pm_divmod(f: ModPoly, g: ModPoly, p: int) -> Tuple[ModPoly, ModPoly]:
@@ -77,60 +82,111 @@ def pm_divmod(f: ModPoly, g: ModPoly, p: int) -> Tuple[ModPoly, ModPoly]:
     return q, r
 
 
-def pm_gcd(f: ModPoly, g: ModPoly, p: int) -> ModPoly:
-    a, b = pm_trim(list(f)), pm_trim(list(g))
+def pm_derivative(f: ModPoly, p: int) -> ModPoly:
+    return pm_trim([i * c % p for i, c in enumerate(f)][1:])
+
+
+def _monic(f: ModPoly, p: int) -> ModPoly:
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
+def _square(f: ModPoly) -> List[int]:
+    """f^2 with coefficients not yet reduced mod p."""
+    out = [0] * (2 * len(f) - 1)
+    for i, a in enumerate(f):
+        if a:
+            out[2 * i] += a * a
+            twice = 2 * a
+            for j in range(i + 1, len(f)):
+                out[i + j] += twice * f[j]
+    return out
+
+
+def _rem(f: Sequence[int], g: ModPoly, p: int) -> ModPoly:
+    """f mod the monic g, for f with any integer coefficients.
+
+    Since g is monic, each quotient coefficient is the leading coefficient
+    reduced mod p, and the rest is reduced once at the end.
+    """
+    n = len(g) - 1
+    r = list(f)
+    low = g[:-1]
+    for base in range(len(r) - n - 1, -1, -1):
+        coeff = r.pop() % p
+        if coeff:
+            for j, b in enumerate(low, base):
+                r[j] -= coeff * b
+    return pm_trim([c % p for c in r])
+
+
+def _gcd(a: ModPoly, b: ModPoly, p: int) -> ModPoly:
+    """The monic gcd of a and b (a monic), by Euclid on monic divisors."""
     while b:
-        a, b = b, pm_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
+        b = _monic(b, p)
+        a, b = b, _rem(a, b, p)
     return a
 
 
-def pm_powmod(base: ModPoly, e: int, mod: ModPoly, p: int) -> ModPoly:
-    result = [1]
-    base = pm_divmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = pm_divmod(pm_mul(result, base, p), mod, p)[1]
-        base = pm_divmod(pm_mul(base, base, p), mod, p)[1]
-        e >>= 1
-    return result
+def _x_to_the_p(f: ModPoly, p: int) -> ModPoly:
+    """x^p mod the monic f of degree >= 2, by left-to-right square-and-shift:
+    a set bit multiplies by x, a shift plus at most one reduction step."""
+    h = [0, 1]
+    for bit in bin(p)[3:]:
+        h = _rem(_square(h), f, p)
+        if bit == "1":
+            h = _rem([0] + h, f, p)
+    return h
 
 
-def pm_derivative(f: ModPoly, p: int) -> ModPoly:
-    return pm_trim([i * c % p for i, c in enumerate(f)][1:])
+def _frobenius_rows(xp: ModPoly, f: ModPoly, p: int) -> List[ModPoly]:
+    """x^(ip) mod f for i < deg f."""
+    rows = [[1], xp]
+    while len(rows) < degree(f):
+        rows.append(_rem(pm_mul(rows[-1], xp, p), f, p))
+    return rows
 
 
 def factor_degrees(f: ModPoly, p: int) -> Optional[List[int]]:
     """Sorted degrees of the irreducible factors of square-free f mod p.
 
-    Returns None when f mod p is not square-free (bad reduction).  Uses
-    distinct-degree factorization: x^(p^d) - x collects all factors of
-    degree dividing d.
+    Returns None when f mod p is not square-free (bad reduction), and raises
+    ValueError for the zero polynomial.  Distinct-degree factorization:
+    gcd(f, x^(p^d) - x) collects the factors of degree d once those of lower
+    degree are divided out.  x^p comes from square-and-shift; from d = 2 on,
+    h -> h^p mod f is the linear map h -> sum h_i x^(ip) (h_i^p = h_i in
+    F_p), applied with a matrix of rows x^(ip) mod f built once from x^p.
+    When a gcd splits off factors, h, x^p and the rows are reduced modulo
+    the new f.
     """
     f = pm_trim(list(f))
     if not f:
         raise ValueError("zero polynomial")
-    inv = pow(f[-1], -1, p)
-    f = [c * inv % p for c in f]
-    if degree(pm_gcd(f, pm_derivative(f, p), p)) > 0:
+    f = _monic(f, p)
+    if degree(_gcd(f, pm_derivative(f, p), p)) > 0:
         return None
     degrees: List[int] = []
-    h = [0, 1]  # x
+    h = xp = rows = None
     d = 0
     while degree(f) > 0:
         d += 1
         if 2 * d > degree(f):
             degrees.append(degree(f))
             break
-        h = pm_powmod(h, p, f, p)
+        if d == 1:
+            h = xp = _x_to_the_p(f, p)
+        else:
+            if rows is None:
+                rows = _frobenius_rows(xp, f, p)
+            columns = zip_longest(*rows, fillvalue=0)
+            h = pm_trim([sum(map(mul, h, col)) % p for col in columns])
         diff = h + [0] * (2 - len(h))  # h - x
         diff[1] = (diff[1] - 1) % p
-        g = pm_gcd(f, pm_trim(diff), p)
+        g = _gcd(f, pm_trim(diff), p)
         if degree(g) > 0:
             degrees.extend([d] * (degree(g) // d))
-            f, r = pm_divmod(f, g, p)
-            assert not r
-            h = pm_divmod(h, f, p)[1]
+            f = pm_divmod(f, g, p)[0]
+            h, xp = _rem(h, f, p), _rem(xp, f, p)
+            if rows is not None:
+                rows = [_rem(row, f, p) for row in rows[: degree(f)]]
     return sorted(degrees)

@@ -215,6 +215,36 @@ def test_group2_with_frobenius(capsys):
     assert rec["group"] in rec["frobenius"]["compatible"]
 
 
+# `group2 -2,0 --frobenius 100`, recorded before factor_degrees gained its
+# Frobenius matrix.
+GROUP2_FROBENIUS_PIN = """\
+[
+  {
+    "c1": "2",
+    "c2": "2",
+    "case": "biquadratic-C4",
+    "frobenius": {
+      "compatible": [
+        "C4"
+      ],
+      "partitions": {
+        "1+1+1+1": 24,
+        "2+2": 23,
+        "4": 53
+      },
+      "primes": 100
+    },
+    "group": "C4",
+    "pair": "(x^2 + -2, 0)"
+  }
+]
+"""
+
+
+def test_group2_frobenius_output_is_pinned(capsys):
+    assert run(capsys, "group2", "-2,0", "--frobenius", "100") == (0, GROUP2_FROBENIUS_PIN)
+
+
 def test_valuations_command(capsys):
     code, records = run_json(capsys, "valuations", "-c", "5", "-p", "2", "-N", "12")
     assert code == 0
@@ -262,6 +292,16 @@ def test_bertrand_terms_and_upto_exclude_each_other(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument --upto: not allowed with argument --terms" in captured.err
+
+
+@pytest.mark.parametrize("terms", [["--upto", "50001"], ["--terms", "2,50001"]])
+def test_bertrand_terms_are_capped(capsys, terms):
+    start = time.perf_counter()
+    assert main(["bertrand", *terms]) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "arboreal: input error: need terms <= 50000, got 50001\n"
 
 
 def test_bertrand_upto_zero_is_named(capsys):
@@ -321,6 +361,15 @@ def test_curve_command(capsys):
     assert rec["constructed_point"] == {"x": "0", "y": "2"}
     assert ["0", "2"] in rec["points"]
     assert rec["smooth"] is True
+
+
+def test_curve_smoothness_of_a_deep_curve_ends(capsys):
+    # the factors' gaps k*j reach 30 steps of beta's orbit, whose exact values
+    # double in size each step; beta = 2 escapes under x^2 + 1/3 at once
+    start = time.perf_counter()
+    code, records = run_json(capsys, "curve", "1/3,2", "--k", "10", "--l", "4")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and records[0]["smooth"] is True
 
 
 def test_curve_degenerate_reports_json_error(capsys):

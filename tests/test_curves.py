@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from conftest import general_pairs, reference_orbit
 
 from arboreal.curves import CurveSpec, construct_point, is_smooth, naive_point_search, rhs_eval
 from arboreal.cli import rationals_of_height
-from arboreal.dynamics import MAX_ORBIT_N, DegeneracyError, QuadPair, adjusted_orbit
+from arboreal.dynamics import MAX_ORBIT_N, DegeneracyError, QuadPair, _in_critical_orbit, adjusted_orbit, iterate
 from arboreal.indexsets import IndexVector
 from arboreal.squares import sqrt_exact
 
@@ -176,6 +177,27 @@ def test_smoothness_matches_the_adjusted_orbit_rule():
         verdicts.add((degenerate, periodic))
     assert verdicts == {(False, False), (True, False), (False, True), (True, True)}
     assert boundary >= 5
+
+
+def test_smoothness_period_walk_matches_the_iterate_rule():
+    # every pair of height <= 4 and k, l <= 4: is_smooth reads beta's period
+    # from a bounded walk and must agree with testing beta against its
+    # k-th, ..., k(l-1)-th iterates
+    grid = rationals_of_height(4)
+    verdicts = set()
+    for c in grid:
+        for beta in grid:
+            pair = QuadPair.from_normal(c, beta)
+            hit = _in_critical_orbit(c, beta)
+            iterates = list(islice(iterate(c, beta), 12))
+            for k in range(1, 5):
+                for l in range(1, 5):
+                    curve = CurveSpec(pair, k, l, 1)
+                    returns = beta in iterates[k - 1 : k * (l - 1) : k]
+                    expected = (hit is None or hit > max(curve.exponents)) and not returns
+                    assert is_smooth(curve) == expected, (c, beta, k, l)
+                    verdicts.add((expected, returns))
+    assert verdicts == {(True, False), (False, False), (False, True)}
 
 
 def periodic_pairs(seed, count):

@@ -19,6 +19,7 @@ from arboreal.dynamics import (
 )
 from arboreal.galois import (
     _ZERO_CYCLE_CACHE,
+    MAX_GOOD_PRIMES,
     MAX_PRIME_BOUND,
     AbelianVerdict,
     FaithfulNode2DimCert,
@@ -196,6 +197,35 @@ def test_frobenius_level3():
 def test_frobenius_needs_good_primes():
     with pytest.raises(ValueError):
         frobenius_sample(QuadPair.from_normal(1, 0), 2, [2])
+
+
+# Level-3 partition counts over the first 80 good primes, recorded before
+# factor_degrees gained its Frobenius matrix: (c, alpha, last prime, counts).
+LEVEL3_PINS = [
+    ("1/3", "2", 439, {"1+1+1+1+1+1+2": 5, "1+1+1+1+2+2": 5, "1+1+1+1+4": 3, "1+1+2+2+2": 6, "1+1+2+4": 4, "2+2+2+2": 10, "2+2+4": 16, "4+4": 19, "8": 12}),
+    ("-1", "3", 421, {"1+1+1+1+1+1+1+1": 1, "1+1+1+1+2+2": 20, "1+1+1+1+4": 4, "1+1+2+2+2": 10, "1+1+2+4": 11, "2+2+2+2": 8, "2+2+4": 26}),
+    ("2", "-5/4", 433, {"1+1+1+1+1+1+1+1": 1, "1+1+1+1+1+1+2": 2, "1+1+1+1+2+2": 6, "1+1+1+1+4": 1, "1+1+2+2+2": 7, "1+1+2+4": 4, "2+2+2+2": 10, "2+2+4": 19, "4+4": 15, "8": 15}),
+]
+
+
+@pytest.mark.parametrize("c, alpha, last, counts", LEVEL3_PINS)
+def test_level3_partitions_are_pinned(c, alpha, last, counts):
+    pair = QuadPair.from_normal(Fraction(c), Fraction(alpha))
+    report = frobenius_sample(pair, 3, good_primes(pair, 3, 80))
+    assert len(report.primes) == 80 and report.primes[-1] == last
+    assert {"+".join(map(str, part)): n for part, n in report.partitions.items()} == counts
+
+
+def test_good_primes_count_is_capped(capsys):
+    assert MAX_GOOD_PRIMES == 10**4
+    pair = QuadPair.from_normal(-2, 0)
+    with pytest.raises(ValueError, match=str(MAX_GOOD_PRIMES)):
+        good_primes(pair, 2, MAX_GOOD_PRIMES + 1)
+    start = time.perf_counter()
+    assert main(["group2", "-2,0", "--frobenius", str(MAX_GOOD_PRIMES + 1)]) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and str(MAX_GOOD_PRIMES) in captured.err
 
 
 def test_good_primes_degenerate_level_raises():

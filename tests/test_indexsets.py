@@ -6,6 +6,7 @@ import time
 import pytest
 
 from arboreal.indexsets import (
+    MAX_BERTRAND_TERM,
     IndexFamily,
     IndexVector,
     bertrand_family,
@@ -119,6 +120,14 @@ def test_bertrand_examples():
         bertrand_family([3, 3])
     with pytest.raises(ValueError):
         bertrand_family([])
+
+
+def test_bertrand_terms_are_capped():
+    assert MAX_BERTRAND_TERM == 5 * 10**4
+    built = bertrand_family([2, MAX_BERTRAND_TERM])
+    assert built.witnesses == (2, 49999)
+    with pytest.raises(ValueError, match=f"need terms <= {MAX_BERTRAND_TERM}, got {MAX_BERTRAND_TERM + 1}"):
+        bertrand_family([2, MAX_BERTRAND_TERM + 1])
 
 
 def test_bertrand_passes_m_coprime():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -36,3 +37,81 @@ def test_pm_divmod_identity():
                 for i, a in enumerate(h):
                     total[i] += a
             assert [a % p for a in total] == f + [0] * (len(total) - len(f))
+
+
+def brute_force_degrees(f, p):
+    """Degrees of the irreducible factors of the monic f, by dividing by every
+    monic polynomial of degree <= deg/2 in increasing degree: a divisor found
+    this way is irreducible, since its own factors were divided out first.
+    None when some divisor divides twice (f is not square-free)."""
+    degrees, rest = [], list(f)
+    for d in range(1, len(f) // 2 + 1):
+        if 2 * d > len(rest) - 1:
+            break
+        for low in itertools.product(range(p), repeat=d):
+            g = list(low) + [1]
+            q, r = pm_divmod(rest, g, p)
+            while not r:
+                if not pm_divmod(q, g, p)[1]:
+                    return None
+                degrees.append(d)
+                rest = q
+                q, r = pm_divmod(rest, g, p)
+    if len(rest) > 1:
+        degrees.append(len(rest) - 1)
+    return sorted(degrees)
+
+
+def random_monic(rng, p, deg):
+    return [rng.randrange(p) for _ in range(deg)] + [1]
+
+
+def test_factor_degrees_matches_brute_force():
+    # every monic polynomial of degree <= 5 over F_3, then seeded ones of
+    # degree <= 8 over F_3, F_5 and F_7, a third of them with a square factor
+    cases = [(list(low) + [1], 3) for deg in range(6) for low in itertools.product(range(3), repeat=deg)]
+    rng = random.Random(16)
+    for p in (3, 5, 7):
+        for i in range(90):
+            if i % 3:
+                f = random_monic(rng, p, rng.randint(0, 8))
+            else:
+                g = random_monic(rng, p, rng.randint(1, 2))
+                f = pm_mul(pm_mul(g, g, p), random_monic(rng, p, rng.randint(0, 4)), p)
+            cases.append((f, p))
+    outcomes = set()
+    for f, p in cases:
+        expected = brute_force_degrees(f, p)
+        assert factor_degrees(f, p) == expected, (f, p)
+        outcomes.add(expected is None)
+        if expected is not None:
+            # the leading coefficient does not matter
+            assert factor_degrees([c * 2 % p for c in f], p) == expected
+    assert outcomes == {True, False}
+
+
+def random_irreducible(rng, p, deg):
+    while True:
+        f = random_monic(rng, p, deg)
+        if brute_force_degrees(f, p) == [deg]:
+            return f
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_factor_degrees_on_prescribed_patterns(p):
+    # products of distinct random irreducibles, up to degree 16 (level 4):
+    # factors split off at d = 1, 2 and 3 and the search goes on past each
+    # split, so x^p, h and the Frobenius rows are read after being reduced
+    patterns = [(1, 6), (1, 3, 3), (1, 1, 2, 2, 6), (2, 6), (2, 3, 3), (1, 2, 3, 6), (3, 8), (3, 4, 4), (1, 2, 4, 4, 5)]
+    rng = random.Random(p)
+    for pattern in patterns:
+        factors = []
+        for deg in pattern:
+            g = random_irreducible(rng, p, deg)
+            while g in factors:
+                g = random_irreducible(rng, p, deg)
+            factors.append(g)
+        f = [1]
+        for g in factors:
+            f = pm_mul(f, g, p)
+        assert factor_degrees(f, p) == sorted(pattern), (pattern, f)
