@@ -478,17 +478,14 @@ def _cmd_tree_verify(args) -> int:
 def _cmd_curve(args) -> int:
     pair = QuadPair.parse(args.pair)
     record: dict = {"pair": pair.describe()}
-    curve = None
     if args.vector:
         vector = indexsets.IndexVector.parse(args.vector)
+        # the vector's curve, whether or not its product is a square
+        curve = curves_mod._progression_curve(pair, vector, args.i0, args.k)
         point = curves_mod.construct_point(pair, vector, args.i0, args.k)
-        if point is None:
-            record["constructed_point"] = None
-        else:
-            curve = point.curve
-            record["constructed_point"] = {"x": str(point.x), "y": str(point.y)}
-    if curve is None:
-        curve = curves_mod.CurveSpec(pair, args.k or 1, args.l, args.i0)
+        record["constructed_point"] = None if point is None else {"x": str(point.x), "y": str(point.y)}
+    else:
+        curve = curves_mod.CurveSpec(pair, 1 if args.k is None else args.k, args.l, args.i0)
     record["curve"] = curve.describe()
     record["genus"] = curve.genus
     record["genus_at_least_2"] = curve.genus >= 2

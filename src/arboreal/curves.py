@@ -8,10 +8,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import List, Optional, Tuple
 
-from .dynamics import QuadPair, _in_critical_orbit, _support_square, iterate
+from .dynamics import QuadPair, _first_hit, _in_critical_orbit, _orbit_prefix, _support_square
 from .indexsets import IndexVector, is_progression
 from .squares import sqrt_exact
 
@@ -47,25 +46,6 @@ class CurveSpec:
         return f"y^2 = {factors} for {self.pair.describe()}"
 
 
-def _period(c: Fraction, beta: Fraction) -> Optional[int]:
-    """The period of beta under x^2 + c, or None when beta is not periodic.
-
-    The walk from beta ends within a bounded number of steps: at the first
-    return to beta; at a repeat of another value (beta is strictly
-    preperiodic); at |z| > max(|c|, 2, |beta|), after which absolute values
-    strictly increase; or at a denominator other than den(beta), since every
-    point of a rational cycle has denominator sqrt(den(c)).
-    """
-    bound = max(abs(c), 2, abs(beta))
-    seen = set()
-    for n, z in enumerate(iterate(c, beta), start=1):
-        if z == beta:
-            return n
-        if z in seen or abs(z) > bound or z.denominator != beta.denominator:
-            return None
-        seen.add(z)
-
-
 def is_smooth(curve: CurveSpec) -> bool:
     """No repeated roots on the right-hand side.
 
@@ -78,23 +58,20 @@ def is_smooth(curve: CurveSpec) -> bool:
     hit = _in_critical_orbit(c, beta)  # the first vanishing adjusted value
     if hit is not None and hit <= max(curve.exponents):
         return False
-    period = _period(c, beta)  # in normal form, alpha's period is beta's
+    period = _first_hit(c, beta, beta)  # in normal form, alpha's period is beta's
     return period is None or all(curve.k * j % period for j in range(1, curve.l))
 
 
 def rhs_eval(curve: CurveSpec, x: Fraction) -> Fraction:
     """Exact value of the right-hand side at x.
 
-    In normal form f^m(x) - alpha = g^m(x - a) - beta.
+    In normal form f^m(x) - alpha = g^m(x - a) - beta.  An exponent above
+    MAX_ORBIT_N is a ValueError.
     """
     c, beta = curve.pair.normal_form()
-    wanted = set(curve.exponents)
-    out = Fraction(1)
-    orbit = iterate(c, Fraction(x) - curve.pair.a)
-    for m, z in enumerate(islice(orbit, max(wanted)), start=1):
-        if m in wanted:
-            out *= z - beta
-    return out
+    exponents = curve.exponents  # increasing
+    zs = _orbit_prefix(c, Fraction(x) - curve.pair.a, exponents[-1])
+    return math.prod((zs[m - 1] - beta for m in exponents), start=Fraction(1))
 
 
 @dataclass(frozen=True)
@@ -105,17 +82,11 @@ class ConstructedPoint:
     product: Fraction  # the adjusted-orbit product the point came from
 
 
-def construct_point(
-    pair: QuadPair, v: IndexVector, i0: int, k: Optional[int] = None
-) -> Optional[ConstructedPoint]:
-    """Rational point from a square product of adjusted-orbit values.
+def _progression_curve(pair: QuadPair, v: IndexVector, i0: int, k: Optional[int] = None) -> CurveSpec:
+    """The curve for (k, |support|, i0) that a progression support names.
 
     The support of v must be an arithmetic progression {s, s+k, ...} with
-    s >= 2 and s - k - i0 >= 0.  When the product of c_{i,alpha} over the
-    support is a square y0^2, the point (f^(s-k-i0)(critical point), y0)
-    lands on the curve for (k, |support|, i0), because
-    f^(k*j + i0)(x0) - alpha = c_{s + k*(j-1), alpha} exactly.
-    Returns None when the product is not a square.
+    s >= 2 and s - k - i0 >= 0; k defaults to the support's step.
     """
     support = tuple(v.support)
     if not support:
@@ -132,16 +103,30 @@ def construct_point(
         raise ValueError("support must start at index >= 2")
     if s - k - i0 < 0:
         raise ValueError(f"need s - k - i0 >= 0, got {s} - {k} - {i0}")
-    curve = CurveSpec(pair, k, length, i0)
+    return CurveSpec(pair, k, length, i0)
+
+
+def construct_point(
+    pair: QuadPair, v: IndexVector, i0: int, k: Optional[int] = None
+) -> Optional[ConstructedPoint]:
+    """Rational point from a square product of adjusted-orbit values.
+
+    The support {s, s+k, ...} of v names a curve as in _progression_curve.
+    When the product of c_{i,alpha} over the support is a square y0^2, the
+    point (f^(s-k-i0)(critical point), y0) lands on that curve, because
+    f^(k*j + i0)(x0) - alpha = c_{s + k*(j-1), alpha} exactly.
+    Returns None when the product is not a square.
+    """
+    curve = _progression_curve(pair, v, i0, k)
+    support = tuple(v.support)
     prod, y0 = _support_square(pair, support)
     if y0 is None:
         return None
     # x0 = f^(s-k-i0)(a) = z_(s-k-i0) + a on the normal form's critical orbit
     c, _ = pair.normal_form()
-    zs = [Fraction(0), *islice(iterate(c, Fraction(0)), s - k - i0)]
+    zs = [Fraction(0), *_orbit_prefix(c, Fraction(0), support[0] - curve.k - i0)]
     x0 = zs[-1] + pair.a
-    rhs = rhs_eval(curve, x0)
-    assert rhs == prod, "orbit identity violated"
+    assert rhs_eval(curve, x0) == prod, "orbit identity violated"
     return ConstructedPoint(curve, x0, y0, prod)
 
 

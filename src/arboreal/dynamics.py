@@ -22,7 +22,7 @@ from .squares import _divide_out, _frac, sqrt_exact
 
 Rational = Union[int, Fraction]
 
-# Deepest exact orbit list, checked in adjusted_orbit: c_n has about 2^n digits,
+# Deepest exact orbit list, checked in _orbit_prefix: c_n has about 2^n digits,
 # and (x^2 + 1/3, 2) at N = 18 prints 0.5 MB in about 0.4 s.
 MAX_ORBIT_N = 18
 
@@ -95,9 +95,9 @@ class AdjustedOrbit:
     adjusted: Tuple[Fraction, ...]
     degeneracy_index: Optional[int]
 
-    def require_nondegenerate(self, upto: Optional[int] = None) -> None:
+    def require_nondegenerate(self) -> None:
         idx = self.degeneracy_index
-        if idx is not None and (upto is None or idx <= upto):
+        if idx is not None:
             raise DegeneracyError(f"c_{idx} equals the basepoint shift (vanishing value)")
 
 
@@ -113,6 +113,38 @@ def iterate(c: Fraction, z: Fraction) -> Iterator[Fraction]:
         yield z
 
 
+def _orbit_prefix(c: Fraction, z: Fraction, n: int) -> List[Fraction]:
+    """[g(z), ..., g^n(z)] for g = x^2 + c: the one exact orbit list, so n
+    above MAX_ORBIT_N is a ValueError."""
+    if n > MAX_ORBIT_N:
+        raise ValueError(f"need N <= {MAX_ORBIT_N}, got {n}")
+    return list(islice(iterate(c, z), n))
+
+
+def _first_hit(c: Fraction, z: Fraction, target: Fraction) -> Optional[int]:
+    """The first n >= 1 with g^n(z) = target for g = x^2 + c, or None.
+
+    Used for z = 0 (does the critical orbit reach target?) and for
+    z = target (target's period).  The walk stops at a repeated value, at
+    |w| > max(|c|, 2, |z|, |target|), after which absolute values strictly
+    increase, or at den(w) > den(target).  The last exit is sound for both
+    uses: for z = 0 and non-integral c, den(z_n) = den(c)^(2^(n-1)) strictly
+    increases, and for z = target every point of a rational cycle has the
+    same denominator.  The walk ends, since only finitely many rationals have
+    bounded size and bounded denominator (for integral c the critical orbit
+    stays on the integers).
+    """
+    bound = max(abs(c), 2, abs(z), abs(target))
+    den = target.denominator
+    seen = set()
+    for n, w in enumerate(iterate(c, z), start=1):
+        if w == target:
+            return n
+        if w in seen or abs(w) > bound or w.denominator > den:
+            return None
+        seen.add(w)
+
+
 def adjusted_orbit(pair: QuadPair, N: int) -> AdjustedOrbit:
     """First N raw and basepoint-adjusted orbit values, flagging degeneracy.
 
@@ -122,10 +154,8 @@ def adjusted_orbit(pair: QuadPair, N: int) -> AdjustedOrbit:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if N > MAX_ORBIT_N:
-        raise ValueError(f"need N <= {MAX_ORBIT_N}, got {N}")
     c, beta = pair.normal_form()
-    zs = list(islice(iterate(c, Fraction(0)), N))
+    zs = _orbit_prefix(c, Fraction(0), N)
     raw = [pair.b] + [z + pair.a for z in zs[1:]]
     adjusted = [beta - zs[0]] + [z - beta for z in zs[1:]]
     degeneracy = next((i + 1 for i, v in enumerate(adjusted) if v == 0), None)
@@ -142,32 +172,15 @@ def _support_square(pair: QuadPair, support: Sequence[int]) -> Tuple[Fraction, O
 
 
 def in_post_critical_orbit(pair: QuadPair) -> bool:
-    """Decide whether alpha lies in {f(a), f^2(a), ...}.
-
-    On the normal form x^2 + c, iterate the critical orbit and stop on a hit,
-    a cycle, an escape past max(|c|, 2, |beta|), or (for non-integral c) a
-    denominator already larger than beta's: denominators of the orbit grow as
-    den(c)^(2^(n-1)), so no later term can equal beta.
-    """
+    """Decide whether alpha lies in {f(a), f^2(a), ...}, by the bounded walk
+    _first_hit on the critical orbit of the normal form."""
     return _in_critical_orbit(*pair.normal_form()) is not None
 
 
 def _in_critical_orbit(c: Fraction, beta: Fraction) -> Optional[int]:
     """The first n with z_n = beta on the critical orbit of x^2 + c, or None:
-    the index at which c_{n,beta} first vanishes, found without an orbit list.
-    """
-    if c.denominator == 1 and beta.denominator > 1:
-        return None
-    bound = max(abs(c), 2, abs(beta))
-    seen = set()
-    for n, z in enumerate(iterate(c, Fraction(0)), start=1):
-        if z == beta:
-            return n
-        if z in seen or abs(z) > bound:
-            return None
-        if c.denominator > 1 and z.denominator > beta.denominator:
-            return None
-        seen.add(z)
+    the index at which c_{n,beta} first vanishes."""
+    return _first_hit(c, Fraction(0), beta)
 
 
 @dataclass(frozen=True)
@@ -220,7 +233,7 @@ def is_pcf(pair: QuadPair) -> Union[PCF, PCI]:
 def verify_pcf(pair: QuadPair, verdict: PCF) -> bool:
     """Replay a PCF certificate: the orbit returns to its cycle entry."""
     c, _ = pair.normal_form()
-    zs = [Fraction(0), *islice(iterate(c, Fraction(0)), verdict.preperiod + verdict.period)]
+    zs = [Fraction(0), *_orbit_prefix(c, Fraction(0), verdict.preperiod + verdict.period)]
     return zs[verdict.preperiod] == zs[-1]
 
 

@@ -98,7 +98,7 @@ def contained_in_Mv(pair: QuadPair, v) -> bool:
 def ab_dimension(pair: QuadPair, N: int) -> int:
     """dim of the span of the first N adjusted-orbit values modulo squares."""
     orbit = adjusted_orbit(pair, N)
-    orbit.require_nondegenerate(N)
+    orbit.require_nondegenerate()
     return span_dimension(orbit.adjusted)
 
 
@@ -234,7 +234,7 @@ def _level_data(pair: QuadPair, level: int) -> Tuple[Fraction, Fraction, Tuple[F
     vanishes, since the level polynomial is then square-free modulo no prime.
     """
     orbit = adjusted_orbit(pair, level)
-    orbit.require_nondegenerate(level)
+    orbit.require_nondegenerate()
     c, beta = pair.normal_form()
     return c, beta, orbit.adjusted
 

@@ -262,8 +262,11 @@ def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Dict[int, int]:
     """Prime factorization {p: e} of |n|; n must be nonzero.
 
     Trial division up to 10^6, then Brent rho on what remains.  Raises
-    BudgetExceeded once the operation count is spent.
+    BudgetExceeded once the operation count is spent; a negative budget is a
+    ValueError.
     """
+    if budget < 0:
+        raise ValueError(f"factoring budget must be nonnegative, got {budget}")
     if n == 0:
         raise ValueError("cannot factor 0")
     meter = _Budget(budget)

@@ -372,6 +372,36 @@ def test_curve_smoothness_of_a_deep_curve_ends(capsys):
     assert code == 0 and records[0]["smooth"] is True
 
 
+def test_curve_right_hand_side_depth_is_capped(capsys):
+    # exponents up to k*l + i0 = 41: each exact iterate doubles in size
+    for extra in (["--x", "1"], ["--search", "1"]):
+        start = time.perf_counter()
+        assert main(["curve", "1/3,2", "--k", "10", "--l", "4", *extra]) == 1
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"arboreal: input error: need N <= {MAX_ORBIT_N}, got 41\n"
+
+
+def test_curve_vector_names_its_curve_without_a_point(capsys):
+    # {3,5,7} names k = 2, l = 3, and c_3 c_5 c_7 is not a square for (x^2 + 1, 0)
+    code, records = run_json(capsys, "curve", "1,0", "--vector", "{3,5,7}", "--i0", "1", "--search", "2")
+    assert code == 0
+    curve = arboreal.curves.CurveSpec(QuadPair.parse("1,0"), 2, 3, 1)
+    rec = records[0]
+    assert rec["constructed_point"] is None
+    assert rec["curve"] == curve.describe() and "f^7(x)" in rec["curve"]
+    assert rec["genus"] == curve.genus == 83
+    assert rec["smooth"] is arboreal.curves.is_smooth(curve)
+    assert rec["points"] == [[str(x), str(y)] for x, y in arboreal.curves.naive_point_search(curve, 2)]
+
+
+@pytest.mark.parametrize("flag", ["--k", "--l", "--i0"])
+def test_curve_zero_parameter_is_input_error(capsys, flag):
+    assert main(["curve", "1,0", flag, "0"]) == 1
+    assert capsys.readouterr().err == "arboreal: input error: k, l, i0 must be positive\n"
+
+
 def test_curve_degenerate_reports_json_error(capsys):
     # c_1 vanishes: main reports it as for every other command
     code, out = run(capsys, "curve", "-2,-2", "--vector", "{2,3}", "--i0", "1")
@@ -485,7 +515,8 @@ def test_exact_orbit_lists_stop_at_max_orbit_n(capsys, monkeypatch, argv):
             assert n <= MAX_ORBIT_N, "an orbit value past c_18 was built"
             yield value
 
-    for module in (arboreal.dynamics, arboreal.galois, arboreal.curves):
+    # curves reads its orbits through dynamics
+    for module in (arboreal.dynamics, arboreal.galois):
         monkeypatch.setattr(module, "iterate", capped_iterate)
 
     def at(n):
@@ -589,6 +620,18 @@ FACTORING_PINS = [
 def test_factoring_output_is_pinned(capsys, argv, digest):
     code, out = run(capsys, *argv)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+
+
+def test_negative_factor_budget_is_input_error(capsys, monkeypatch):
+    message = "arboreal: input error: factoring budget must be nonnegative, got {}\n"
+    assert main(["abdim", "1,0", "-N", "3", "--factor-budget", "-5"]) == 1
+    assert capsys.readouterr() == ("", message.format(-5))
+    monkeypatch.setenv("ARBOREAL_FACTOR_BUDGET", "-1")
+    assert main(["abdim", "1,0", "-N", "3"]) == 1
+    assert capsys.readouterr() == ("", message.format(-1))
+    # a budget of 0 is spent at once, so only the classes display is dropped
+    code, records = run_json(capsys, "abdim", "1,0", "-N", "3", "--factor-budget", "0")
+    assert code == 0 and records[0]["classes"] is None and records[0]["dimension"] == 3
 
 
 # Every subcommand's options and arguments: each takes --format, and the

@@ -24,6 +24,14 @@ def test_rhs_eval_examples():
     assert rhs_eval(curve, 0) == 4  # f^2(0) * f^3(0) = 2 * 2
 
 
+def test_rhs_eval_depth_is_capped():
+    # (x^2, 0) at x = 0: every iterate is 0, so only the cap can stop the walk
+    pair = QuadPair.from_normal(0, 0)
+    assert rhs_eval(CurveSpec(pair, MAX_ORBIT_N - 1, 1, 1), 0) == 0
+    with pytest.raises(ValueError, match=f"<= {MAX_ORBIT_N}, got {MAX_ORBIT_N + 1}"):
+        rhs_eval(CurveSpec(pair, MAX_ORBIT_N, 1, 1), 0)
+
+
 def test_rhs_vanishes_at_factor_roots():
     curve = CurveSpec(QuadPair.from_normal(-2, 2), 1, 1, 1)  # factor f^2 - 2
     # x = 2 satisfies f^2(x) = 2

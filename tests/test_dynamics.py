@@ -15,6 +15,7 @@ from arboreal.dynamics import (
     PCF,
     PCI,
     QuadPair,
+    _first_hit,
     _in_critical_orbit,
     _valuation,
     adjusted_orbit,
@@ -95,7 +96,7 @@ def test_adjusted_orbit_degeneracy_index():
     orbit = adjusted_orbit(QuadPair.from_normal(-1, 0), 4)
     assert orbit.degeneracy_index == 2
     with pytest.raises(DegeneracyError):
-        orbit.require_nondegenerate(4)
+        orbit.require_nondegenerate()
 
 
 def test_in_post_critical_orbit():
@@ -153,6 +154,26 @@ def test_pcf_certificates_replay():
         verdict = is_pcf(pair)
         assert isinstance(verdict, PCF)
         assert verify_pcf(pair, verdict)
+
+
+def test_pcf_replay_depth_is_capped():
+    # (x^2, 0): every iterate is 0, so only the cap can stop a deep replay
+    pair = QuadPair.from_normal(0, 0)
+    assert verify_pcf(pair, PCF(0, MAX_ORBIT_N))
+    with pytest.raises(ValueError, match=f"<= {MAX_ORBIT_N}, got {MAX_ORBIT_N + 1}"):
+        verify_pcf(pair, PCF(1, MAX_ORBIT_N))
+
+
+def test_first_hit_exits():
+    assert _first_hit(F(-1), F(0), F(-1)) == 1  # z_1 = c
+    assert _first_hit(F(-1), F(0), F(0)) == 2  # 0 has period 2 under x^2 - 1
+    assert _first_hit(F(-2), F(0), F(0)) is None  # 0 -> -2 -> 2 -> 2 repeats
+    assert _first_hit(F(1), F(0), F(1, 3)) is None  # integers, then escape
+    assert _first_hit(F(1), F(0), F(26)) == 4  # 1, 2, 5, 26: past 2, below |target|
+    assert _first_hit(F(-3, 4), F(-1, 2), F(-1, 2)) == 1  # a fixed point
+    # 1/2 -> 0 -> -1/4 under x^2 - 1/4: the first step lowers the denominator
+    # and the walk ends when it rises past den(1/2)
+    assert _first_hit(F(-1, 4), F(1, 2), F(1, 2)) is None
 
 
 def test_pcf_integral_sweep():

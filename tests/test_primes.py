@@ -115,6 +115,12 @@ def test_budget_exceeded_carries_spent_and_budget():
     assert str(info.value) == "factorization budget exhausted"
 
 
+def test_negative_budget_is_a_value_error():
+    with pytest.raises(ValueError, match="nonnegative, got -1"):
+        factorize(12, budget=-1)
+    assert factorize(1, budget=0) == {}
+
+
 def test_block_table_is_built_only_past_the_first_block(capsys):
     primes._block_table.cache_clear()
     try:
