@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .dynamics import QuadPair, _first_hit, _in_critical_orbit, _orbit_prefix, _support_square
+from .dynamics import MAX_ORBIT_N, QuadPair, _first_hit, _in_critical_orbit, _orbit_prefix, _support_square
 from .indexsets import IndexVector, is_progression
 from .squares import sqrt_exact
 
@@ -68,8 +68,10 @@ def rhs_eval(curve: CurveSpec, x: Fraction) -> Fraction:
     In normal form f^m(x) - alpha = g^m(x - a) - beta.  An exponent above
     MAX_ORBIT_N is a ValueError.
     """
-    c, beta = curve.pair.normal_form()
     exponents = curve.exponents  # increasing
+    if exponents[-1] > MAX_ORBIT_N:
+        raise ValueError(f"need exponents k*l+i0 <= {MAX_ORBIT_N}, got {exponents[-1]}")
+    c, beta = curve.pair.normal_form()
     zs = _orbit_prefix(c, Fraction(x) - curve.pair.a, exponents[-1])
     return math.prod((zs[m - 1] - beta for m in exponents), start=Fraction(1))
 

@@ -65,11 +65,12 @@ class QuadPair:
     @classmethod
     def parse(cls, text: str) -> "QuadPair":
         """Parse "a,b,alpha", or "c,alpha" for the normal form x^2 + c."""
-        parts = [p for p in text.split(",") if p.strip()]
-        if len(parts) == 2:
-            return cls.from_normal(parse_rational(parts[0]), parse_rational(parts[1]))
-        if len(parts) == 3:
-            return cls(*(parse_rational(p) for p in parts))
+        parts = text.split(",")
+        if all(p.strip() for p in parts):  # a blank field is an error, not a shorter pair
+            if len(parts) == 2:
+                return cls.from_normal(parse_rational(parts[0]), parse_rational(parts[1]))
+            if len(parts) == 3:
+                return cls(*(parse_rational(p) for p in parts))
         raise ValueError(f"expected 'a,b,alpha' or 'c,alpha', got {text!r}")
 
     @property
@@ -125,7 +126,9 @@ def _first_hit(c: Fraction, z: Fraction, target: Fraction) -> Optional[int]:
     """The first n >= 1 with g^n(z) = target for g = x^2 + c, or None.
 
     Used for z = 0 (does the critical orbit reach target?) and for
-    z = target (target's period).  The walk stops at a repeated value, at
+    z = target (target's period).  With c and z integral every iterate is an
+    integer, so a non-integral target is never hit and no step is taken.
+    Otherwise the walk stops at a repeated value, at
     |w| > max(|c|, 2, |z|, |target|), after which absolute values strictly
     increase, or at den(w) > den(target).  The last exit is sound for both
     uses: for z = 0 and non-integral c, den(z_n) = den(c)^(2^(n-1)) strictly
@@ -134,6 +137,8 @@ def _first_hit(c: Fraction, z: Fraction, target: Fraction) -> Optional[int]:
     bounded size and bounded denominator (for integral c the critical orbit
     stays on the integers).
     """
+    if c.denominator == 1 and z.denominator == 1 and target.denominator > 1:
+        return None
     bound = max(abs(c), 2, abs(z), abs(target))
     den = target.denominator
     seen = set()

@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import islice
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from . import polys
 from .dynamics import (
@@ -328,27 +328,16 @@ def _zero_cycle(c_mod: int, p: int) -> Optional[FrozenSet[int]]:
             return frozenset(seen)
 
 
-def _poonen_at(
-    alpha: Fraction,
-    alpha_mod: Optional[int],
-    cycle: Optional[FrozenSet[int]],
-    p: int,
-    exact_hit: Callable[[], Optional[int]],
-) -> Tuple[Optional[str], str]:
-    """(condition, details) of poonen_check at the odd prime p, given
-    alpha_mod = alpha mod p and the cycle of 0 modulo p; exact_hit() is the
-    first n with f^n(0) = alpha, or None, and is asked only when the residues
-    leave the verdict open.
-    """
+def _residue_condition(num: int, den: int, cycle: Optional[FrozenSet[int]], p: int) -> Optional[str]:
+    """poonen_check's residue test for alpha = num/den at the odd prime p:
+    "a" when p | den, "b" when alpha mod p lies on the cycle of 0 mod p, else
+    None.  The caller excludes the exact orbit of 0 from (b)."""
+    alpha_mod = polys.reduce_mod(num, den, p)
     if alpha_mod is None:
-        return "a", f"v_{p}(alpha) = {_valuation(alpha, p)} < 0"
-    if cycle is None:
-        return None, "0 is not periodic modulo p"
-    if alpha_mod not in cycle:
-        return None, "alpha misses the modular orbit of 0"
-    if exact_hit() is not None:
-        return None, "alpha lies in the exact orbit of 0"
-    return "b", f"0 periodic mod {p} with period {len(cycle)}, alpha on the orbit"
+        return "a"
+    if cycle is not None and alpha_mod in cycle:
+        return "b"
+    return None
 
 
 def poonen_check(c: Rational, alpha: Rational, p: int) -> PoonenResult:
@@ -367,9 +356,18 @@ def poonen_check(c: Rational, alpha: Rational, p: int) -> PoonenResult:
     c_mod = polys.reduce_mod(c.numerator, c.denominator, p)
     if c_mod is None:
         raise ValueError("the test needs v_p(c) >= 0")
-    alpha_mod = polys.reduce_mod(alpha.numerator, alpha.denominator, p)
-    exact_hit = partial(_in_critical_orbit, c, alpha)
-    condition, details = _poonen_at(alpha, alpha_mod, _zero_cycle(c_mod, p), p, exact_hit)
+    cycle = _zero_cycle(c_mod, p)
+    condition = _residue_condition(alpha.numerator, alpha.denominator, cycle, p)
+    if condition == "a":
+        details = f"v_{p}(alpha) = {_valuation(alpha, p)} < 0"
+    elif cycle is None:
+        details = "0 is not periodic modulo p"
+    elif condition is None:
+        details = "alpha misses the modular orbit of 0"
+    elif _in_critical_orbit(c, alpha) is not None:
+        condition, details = None, "alpha lies in the exact orbit of 0"
+    else:
+        details = f"0 periodic mod {p} with period {len(cycle)}, alpha on the orbit"
     return PoonenResult(condition, p, details)
 
 
@@ -386,12 +384,15 @@ def nonabelian_prime_search(
     rational preimages.  Returns (prime, condition, basepoint) or None.
 
     The primes come from a cached sieve: a bound above MAX_PRIME_BOUND is a
-    ValueError.  c and each basepoint are reduced mod p from their integer
-    numerators and denominators, and whether a basepoint lies in the exact
-    orbit of 0 is decided at most once, at the first prime that asks.  The
-    cycle of 0 mod p comes from the cache poonen_check shares, keyed by
-    (c mod p, p): its memory is bounded by the cache size
-    (_ZERO_CYCLE_CACHE) times the period.
+    ValueError.  Each basepoint's exact-orbit question is asked once, before
+    the scan, and a basepoint on the exact orbit of 0 is dropped: it never
+    fires at a prime p with v_p(c) >= 0, the only primes scanned, since
+    b = z_n is a polynomial in c with integer coefficients, so (a) cannot
+    hold, and (b) excludes b by definition.  The scan then reads residues
+    only: c and each basepoint are reduced mod p from their integer
+    numerators and denominators, and the cycle of 0 mod p comes from the
+    cache poonen_check shares, keyed by (c mod p, p): its memory is bounded
+    by the cache size (_ZERO_CYCLE_CACHE) times the period.
     """
     c, beta = pair.normal_form()
     basepoints = [beta]
@@ -400,22 +401,15 @@ def nonabelian_prime_search(
         basepoints.extend([shift, -shift])
     if bound > MAX_PRIME_BOUND:
         raise ValueError(f"need prime_bound <= {MAX_PRIME_BOUND}, got {bound}")
-    exact: Dict[Fraction, Optional[int]] = {}
-
-    def exact_hit(bp: Fraction) -> Optional[int]:
-        if bp not in exact:
-            exact[bp] = _in_critical_orbit(c, bp)
-        return exact[bp]
-
+    points = [(bp, bp.numerator, bp.denominator) for bp in basepoints if _in_critical_orbit(c, bp) is None]
     c_num, c_den = c.numerator, c.denominator
-    points = [(bp, bp.numerator, bp.denominator, partial(exact_hit, bp)) for bp in basepoints]
     for p in _sieved_odd_primes(bound):
         c_mod = polys.reduce_mod(c_num, c_den, p)
         if c_mod is None:  # v_p(c) < 0
             continue
         cycle = _zero_cycle(c_mod, p)
-        for bp, num, den, bp_exact_hit in points:
-            condition, _ = _poonen_at(bp, polys.reduce_mod(num, den, p), cycle, p, bp_exact_hit)
+        for bp, num, den in points:
+            condition = _residue_condition(num, den, cycle, p)
             if condition is not None:
                 return p, condition, bp
     return None
@@ -571,12 +565,6 @@ def _quad_field_search(c: Fraction, beta: Fraction) -> Optional[QuadFieldD8Cert]
         next_queue: List[Tuple[Fraction, Tuple[Fraction, ...]]] = []
         for t, chain in queue:
             radicand = t - c
-            if radicand == 0:
-                child = Fraction(0)
-                if child not in visited:
-                    visited.add(child)
-                    next_queue.append((child, chain + (child,)))
-                continue
             s = sqrt_exact(radicand)
             if s is not None:
                 for child in (s, -s):
@@ -664,7 +652,7 @@ def classify_abelian(
 
     # 3. faithful root plus a >= 2-dimensional orbit span: with c1 not a
     # square, span(c_1..c_n) >= 2 first at the first c_n outside {1, c1}
-    if sqrt_exact(c1) is None and not in_post_critical_orbit(pair):
+    if not is_square_int(q1) and not in_post_critical_orbit(pair):
         values = [c1]
         for z in islice(iterate(c, c), dim_N - 1):  # z_2, ..., z_dim_N
             cn = z - beta

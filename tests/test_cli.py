@@ -380,7 +380,7 @@ def test_curve_right_hand_side_depth_is_capped(capsys):
         assert time.perf_counter() - start < 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"arboreal: input error: need N <= {MAX_ORBIT_N}, got 41\n"
+        assert captured.err == f"arboreal: input error: need exponents k*l+i0 <= {MAX_ORBIT_N}, got 41\n"
 
 
 def test_curve_vector_names_its_curve_without_a_point(capsys):
@@ -412,6 +412,14 @@ def test_curve_degenerate_reports_json_error(capsys):
 def test_parse_error_exit_code(capsys):
     assert main(["classify", "not-a-pair"]) == 1
     assert main(["nonsense"]) == 1
+
+
+@pytest.mark.parametrize("text", ["1,,3", "1,2,3,", ",1,3"])
+def test_blank_pair_field_is_input_error(capsys, text):
+    assert main(["orbit", text, "-N", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"arboreal: input error: expected 'a,b,alpha' or 'c,alpha', got {text!r}\n"
 
 
 def test_no_pairs_is_input_error(capsys):

@@ -22,6 +22,7 @@ from arboreal.dynamics import (
     in_post_critical_orbit,
     is_exceptional,
     is_pcf,
+    iterate,
     orbit_valuations,
     verify_pcf,
 )
@@ -39,6 +40,13 @@ def test_parse_forms():
         QuadPair.parse("1")
     with pytest.raises(ValueError):
         QuadPair.parse("1,2,3,4")
+
+
+@pytest.mark.parametrize("text", ["1,,3", "1,2,3,", ",1,3", "1, ,3"])
+def test_parse_rejects_blank_fields(text):
+    # a blank field is not dropped: "1,,3" is not the normal-form pair (1, 3)
+    with pytest.raises(ValueError, match=f"expected 'a,b,alpha' or 'c,alpha', got {text!r}"):
+        QuadPair.parse(text)
 
 
 def test_normal_form_example():
@@ -174,6 +182,21 @@ def test_first_hit_exits():
     # 1/2 -> 0 -> -1/4 under x^2 - 1/4: the first step lowers the denominator
     # and the walk ends when it rises past den(1/2)
     assert _first_hit(F(-1, 4), F(1, 2), F(1, 2)) is None
+
+
+def test_first_hit_integral_orbit_skips_non_integral_target(monkeypatch):
+    steps = []
+
+    def counting_iterate(c, z):
+        for w in iterate(c, z):
+            steps.append(w)
+            yield w
+
+    monkeypatch.setattr("arboreal.dynamics.iterate", counting_iterate)
+    # every iterate of 0 under x^2 + 1 is an integer, so 1/3 is never hit
+    assert _first_hit(F(1), F(0), F(1, 3)) is None
+    assert steps == []
+    assert _first_hit(F(1), F(0), F(26)) == 4 and len(steps) == 4
 
 
 def test_pcf_integral_sweep():

@@ -4,7 +4,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import takewhile
+from itertools import islice, takewhile
 
 import pytest
 
@@ -16,6 +16,7 @@ from arboreal.dynamics import (
     _valuation,
     adjusted_orbit,
     in_post_critical_orbit,
+    iterate,
 )
 from arboreal.galois import (
     _ZERO_CYCLE_CACHE,
@@ -405,6 +406,17 @@ def test_poonen_details_match_reference_loop():
             for alpha in grid:
                 result = poonen_check(c, alpha, p)
                 assert (result.condition, result.details) == reference_poonen(c, alpha, p)
+
+
+def test_exact_orbit_basepoint_never_fires():
+    # nonabelian_prime_search drops a basepoint on the exact orbit of 0
+    # before its scan; the scan only visits primes with v_p(c) >= 0
+    odd_primes = sieve(100)[1:]
+    for c in rationals_of_height(6):
+        for n, z in enumerate(islice(iterate(c, F(0)), 4), start=1):
+            for p in odd_primes:
+                if c.denominator % p:
+                    assert poonen_check(c, z, p).condition is None, (c, n, p)
 
 
 def test_zero_cycle_cache_is_bounded():
