@@ -24,8 +24,8 @@ from . import curves as curves_mod
 from . import galois, indexsets, treegroup
 from .dynamics import (
     DegeneracyError,
-    PCF,
     QuadPair,
+    _as_json,
     adjusted_orbit,
     in_post_critical_orbit,
     is_exceptional,
@@ -45,18 +45,6 @@ EXCEPTIONAL_NOTE = (
 )
 
 
-def _pcf_json(verdict) -> dict:
-    if isinstance(verdict, PCF):
-        return {"kind": "pcf", "preperiod": verdict.preperiod, "period": verdict.period}
-    return {
-        "kind": "pci",
-        "witness": verdict.witness,
-        "index": verdict.index,
-        "value": str(verdict.value),
-        "prime": verdict.prime,
-    }
-
-
 def classify_pair(
     pair: QuadPair,
     prime_bound: int = galois.DEFAULT_PRIME_BOUND,
@@ -65,11 +53,10 @@ def classify_pair(
     """Full classification record for one pair."""
     c, beta = pair.normal_form()
     record: dict = {
-        "pair": {"a": str(pair.a), "b": str(pair.b), "alpha": str(pair.alpha)},
+        "pair": _as_json(pair),
         "normal_form": {"c": str(c), "beta": str(beta)},
     }
-    pcf_verdict = is_pcf(pair)
-    record["pcf"] = _pcf_json(pcf_verdict)
+    record["pcf"] = _as_json(is_pcf(pair))
     record["exceptional"] = is_exceptional(pair)
     record["degenerate"] = in_post_critical_orbit(pair)
     verdict = galois.classify_abelian(pair, prime_bound, dim_N)
@@ -249,12 +236,7 @@ def _cmd_survey(args) -> int:
 def _cmd_orbit(args) -> int:
     pair = QuadPair.parse(args.pair)
     orbit = adjusted_orbit(pair, args.n)
-    record = {
-        "pair": pair.describe(),
-        "raw": [str(v) for v in orbit.raw],
-        "adjusted": [str(v) for v in orbit.adjusted],
-        "degeneracy_index": orbit.degeneracy_index,
-    }
+    record = {"pair": pair.describe(), **_as_json(orbit)}
     _emit([record], args.format, ("pair", "degeneracy_index"))
     return EXIT_OK
 
@@ -263,8 +245,8 @@ def _cmd_pcf(args) -> int:
     records = []
     for text in args.pairs:
         text = text.strip()  # main may have prefixed a space
-        pair = QuadPair.parse(text if "," in text else text + ",0")
-        records.append({"input": text, "verdict": _pcf_json(is_pcf(pair))})
+        pair = QuadPair.parse(text) if "," in text else QuadPair.from_normal(parse_rational(text), 0)
+        records.append({"input": text, "verdict": _as_json(is_pcf(pair))})
     _emit(records, args.format, ("input", "verdict.kind"))
     return EXIT_OK
 
@@ -327,16 +309,7 @@ def _cmd_group2(args) -> int:
 
 def _cmd_valuations(args) -> int:
     report = orbit_valuations(parse_rational(args.c), args.p, args.n)
-    record = {
-        "c": str(report.c),
-        "p": report.p,
-        "values": list(report.values),
-        "pattern": report.pattern,
-        "n0": report.n0,
-        "conformant": report.conformant,
-        "mismatches": list(report.mismatches),
-    }
-    _emit([record], args.format, ("c", "p", "pattern", "conformant"))
+    _emit([_as_json(report)], args.format, ("c", "p", "pattern", "conformant"))
     return EXIT_OK
 
 
@@ -410,17 +383,7 @@ def _cmd_indexset(args) -> int:
         )
     if args.coprime is not None:
         report = indexsets.m_coprime_witness(family, args.coprime)
-        records.append(
-            {
-                "check": "m-coprime",
-                "M": args.coprime,
-                "ok": report.ok,
-                "witnesses": list(report.witnesses),
-                "max_witness_sequence": list(report.max_witness_sequence),
-                "unbounded_evidence": report.unbounded_evidence,
-                "failures": list(report.failures),
-            }
-        )
+        records.append({"check": "m-coprime", "M": args.coprime, **_as_json(report)})
     if not records:
         raise ValueError("choose --progression k,l and/or --coprime M")
     _emit(records, args.format, ("check", "ok"))

@@ -12,7 +12,8 @@ procedure below works on the normal form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
@@ -31,11 +32,40 @@ class DegeneracyError(Exception):
     """The basepoint lies in the post-critical orbit (a vanishing c_{n,alpha})."""
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(s: str) -> Fraction:
+    """An integer or p/q, with an optional sign ("−", U+2212, reads as "-").
+
+    Decimal and exponent forms are a ValueError: Fraction("1e10000000")
+    alone builds a ten-million-digit integer.
+    """
+    given = s.strip()  # the CLI may have prefixed a space
+    text = given.replace("−", "-")
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"expected an integer or p/q, got {given!r}")
     try:
-        return Fraction(s.strip().replace("−", "-"))
+        return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {s!r}") from None
+        raise ValueError(f"zero denominator in {given!r}") from None
+
+
+def _as_json(value):
+    """The JSON form of a library result.  A dataclass becomes {"kind": ...}
+    (when its class has a kind) plus one key per field, a Fraction its text
+    and a tuple or list a list, recursively; anything else is returned as it
+    is."""
+    if is_dataclass(value):
+        record = {"kind": value.kind} if hasattr(value, "kind") else {}
+        for f in fields(value):
+            record[f.name] = _as_json(getattr(value, f.name))
+        return record
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, (tuple, list)):
+        return [_as_json(v) for v in value]
+    return value
 
 
 @dataclass(frozen=True)

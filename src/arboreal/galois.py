@@ -28,6 +28,7 @@ from .dynamics import (
     DegeneracyError,
     PCI,
     QuadPair,
+    _as_json,
     _in_critical_orbit,
     _support_square,
     _valuation,
@@ -444,9 +445,6 @@ class Level2D8Cert:
             and sqrt_exact(self.c1 * self.c2) is None
         )
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "c1": str(self.c1), "c2": str(self.c2)}
-
 
 @dataclass(frozen=True)
 class PoonenPrimeCert:
@@ -460,15 +458,6 @@ class PoonenPrimeCert:
     def replay(self) -> bool:
         result = poonen_check(self.c, self.basepoint, self.prime)
         return result.condition == self.condition
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "prime": self.prime,
-            "condition": self.condition,
-            "c": str(self.c),
-            "basepoint": str(self.basepoint),
-        }
 
 
 @dataclass(frozen=True)
@@ -485,38 +474,21 @@ class FaithfulNode2DimCert:
             return False
         return span_dimension(self.values) >= 2
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "c1": str(self.c1),
-            "values": [str(v) for v in self.values],
-        }
-
 
 @dataclass(frozen=True)
 class QuadFieldD8Cert:
     d: int  # num * den of the radicand: not a square, not always square-free
     chain: Tuple[Fraction, ...]  # rational backward orbit from the basepoint
     radicand: Fraction  # final preimage equation x^2 = radicand, irrational
-    e1: Tuple[Fraction, Fraction]  # c_{1,s} as (rational, sqrt-coefficient)
-    e2: Tuple[Fraction, Fraction]
+    c1_shifted: Tuple[Fraction, Fraction]  # c_{1,s} as (rational, sqrt-coefficient)
+    c2_shifted: Tuple[Fraction, Fraction]
 
     kind = "QuadFieldD8"
 
     def replay(self) -> bool:
-        x1 = QuadElement(self.e1[0], self.e1[1], self.d)
-        x2 = QuadElement(self.e2[0], self.e2[1], self.d)
+        x1 = QuadElement(*self.c1_shifted, self.d)
+        x2 = QuadElement(*self.c2_shifted, self.d)
         return quad_independent([x1, x2]) == 2
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "d": self.d,
-            "chain": [str(t) for t in self.chain],
-            "radicand": str(self.radicand),
-            "c1_shifted": [str(self.e1[0]), str(self.e1[1])],
-            "c2_shifted": [str(self.e2[0]), str(self.e2[1])],
-        }
 
 
 Certificate = Union[Level2D8Cert, PoonenPrimeCert, FaithfulNode2DimCert, QuadFieldD8Cert]
@@ -539,13 +511,7 @@ class AbelianVerdict:
         return None
 
     def to_json(self) -> dict:
-        return {
-            "status": self.status,
-            "tag": self.tag,
-            "certificate": self.certificate.to_json() if self.certificate else None,
-            "provenance": self.provenance,
-            "note": self.note,
-        }
+        return _as_json(self)
 
 
 def replay_certificate(cert: Certificate) -> bool:

@@ -55,9 +55,6 @@ class SquareClass:
         support = set(self.primes) ^ set(other.primes)
         return SquareClass(self.sign * other.sign, tuple(sorted(support)))
 
-    def to_json(self) -> dict:
-        return {"sign": self.sign, "primes": list(self.primes)}
-
 
 ONE = SquareClass(1, ())
 

@@ -466,6 +466,31 @@ def test_zero_denominator_is_input_error(capsys, argv):
     assert captured.err.startswith("arboreal: input error: ") and "'1/0'" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["pcf", "1e10000000"], "1e10000000"),
+        (["orbit", "1.5,0", "-N", "1"], "1.5"),
+        (["classify", "1_000,0"], "1_000"),
+        # without the space main prefixes to a negative number
+        (["valuations", "-c", "-1.5", "-p", "3"], "-1.5"),
+        # a bare c is parsed as typed, not as the pair "c,0"
+        (["pcf", ""], ""),
+    ],
+)
+def test_only_integers_and_fractions_are_rationals(capsys, argv, text):
+    # Fraction("1e10000000") alone would build a ten-million-digit integer
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", f"arboreal: input error: expected an integer or p/q, got {text!r}\n")
+
+
+def test_unicode_minus_is_a_sign(capsys):
+    code, records = run_json(capsys, "pcf", "−2")
+    assert code == 0 and records[0]["verdict"]["kind"] == "pcf"
+
+
 def test_orbit_prints_values_past_the_int_digit_limit(capsys):
     # c_15 of (x^2 + 1/3, 2) has about 7,800 digits, past CPython's default
     # int-to-str limit of 4300 (3.10.7 and up), which main lifts while it runs
@@ -626,6 +651,49 @@ FACTORING_PINS = [
 
 @pytest.mark.parametrize("argv, digest", FACTORING_PINS)
 def test_factoring_output_is_pinned(capsys, argv, digest):
+    code, out = run(capsys, *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+
+
+# exit code and sha256 of stdout for records rendered from library results:
+# every certificate kind and classifier provenance, both PCF verdict kinds,
+# an adjusted orbit, two valuation patterns and an m-coprime report
+RESULT_PINS = [
+    pytest.param(
+        ["classify", "-4,-4", "-4,-3", "-4,-2", "-4,4", "-2,-2", "-2,-1/4", "-4/3,-4/3", "0,0"],
+        "de9f313862e9b645b28dbbb142192220a83d36987cb6f4c77aa43652ad5c388d",
+        id="classify",
+    ),
+    pytest.param(
+        ["pcf", "-2", "-1", "1", "1/2", "0,1/3"],
+        "1514081689903958bbf2507f8cb724d16fbf45fbc61026e2eac32fffd12465d6",
+        id="pcf",
+    ),
+    pytest.param(
+        ["orbit", "-1,-1/2", "-N", "8"],
+        "f073cad0e3644e781804be56283d349d9e3080593bd2812ee18c3cdf4277e121",
+        id="orbit",
+    ),
+    pytest.param(
+        ["valuations", "-c", "5", "-p", "2", "-N", "12"],
+        "a3894cf91d7415720f141c91ded14eba2a8cc0dc66b87f92ee56883f2362385d",
+        id="valuations-rigid",
+    ),
+    pytest.param(
+        ["valuations", "-c", "1/3", "-p", "3", "-N", "6"],
+        "cc5125ad3bc9571d4c8a4821a387c5f553699d4a1bada726ce9e5a5d007079d9",
+        id="valuations-negative",
+    ),
+    pytest.param(
+        ["indexset", "--family", "{1,2};{2,3};{3,5,7}", "--coprime", "1"],
+        "3c3c1a5fec430bd73d0d2ed72f9b046689a07960defa8d4cc64d8cfeeb3806e9",
+        id="indexset-coprime",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", RESULT_PINS)
+def test_result_json_is_pinned(capsys, argv, digest):
     code, out = run(capsys, *argv)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
 

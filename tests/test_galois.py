@@ -640,7 +640,7 @@ def test_classify_quad_field_case():
     cert = verdict.certificate
     assert cert.kind == "QuadFieldD8"
     assert cert.d == 2
-    assert cert.e1 == (1, 1) and cert.e2 == (0, -1)  # 1 + sqrt2 and -sqrt2
+    assert cert.c1_shifted == (1, 1) and cert.c2_shifted == (0, -1)  # 1 + sqrt2 and -sqrt2
     assert replay_certificate(cert)
 
 
