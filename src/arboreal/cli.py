@@ -3,7 +3,8 @@
 Subcommands wrap the library one-to-one and emit deterministic JSON records
 (or aligned tables) with a provenance field naming the rule behind each
 verdict.  Exit codes: 0 success, 1 input error, 2 inconclusive (with
-partial output, or {"error": ...} when an adjusted-orbit value vanishes).
+partial output, or {"error": ...} when an adjusted-orbit value vanishes or a
+budget runs out).
 """
 
 from __future__ import annotations
@@ -588,7 +589,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"arboreal: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except DegeneracyError as exc:
+    except (DegeneracyError, BudgetExceeded) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         return EXIT_INCONCLUSIVE
     finally:

@@ -8,11 +8,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from itertools import islice
+from typing import Iterator, List, Optional, Tuple
 
 from .dynamics import MAX_ORBIT_N, QuadPair, _first_hit, _in_critical_orbit, _orbit_prefix, _support_square
 from .indexsets import IndexVector, is_progression
+from .primes import BudgetExceeded
 from .squares import sqrt_exact
+
+# Largest total right-hand-side degree over the x of one point search, the
+# size of its exact work: `curve 1/3,2 --k 17 --search 2` (7 values of degree
+# 2^18) stays within it, `--search 8` (about 80 such values) does not.
+_SEARCH_DEGREE_CAP = 2**21
 
 
 @dataclass(frozen=True)
@@ -68,12 +75,18 @@ def rhs_eval(curve: CurveSpec, x: Fraction) -> Fraction:
     In normal form f^m(x) - alpha = g^m(x - a) - beta.  An exponent above
     MAX_ORBIT_N is a ValueError.
     """
+    _check_depth(curve)
     exponents = curve.exponents  # increasing
-    if exponents[-1] > MAX_ORBIT_N:
-        raise ValueError(f"need exponents k*l+i0 <= {MAX_ORBIT_N}, got {exponents[-1]}")
     c, beta = curve.pair.normal_form()
     zs = _orbit_prefix(c, Fraction(x) - curve.pair.a, exponents[-1])
     return math.prod((zs[m - 1] - beta for m in exponents), start=Fraction(1))
+
+
+def _check_depth(curve: CurveSpec) -> None:
+    """ValueError when the top exponent k*l+i0 exceeds MAX_ORBIT_N."""
+    top = curve.exponents[-1]
+    if top > MAX_ORBIT_N:
+        raise ValueError(f"need exponents k*l+i0 <= {MAX_ORBIT_N}, got {top}")
 
 
 @dataclass(frozen=True)
@@ -132,29 +145,47 @@ def construct_point(
     return ConstructedPoint(curve, x0, y0, prod)
 
 
+def _lowest_terms(H: int) -> Iterator[Tuple[int, int]]:
+    """Each (p, q) with p/q in lowest terms, |p| <= H and 1 <= q <= H, once."""
+    for q in range(1, H + 1):
+        for p in range(-H, H + 1):
+            if math.gcd(abs(p), q) == 1:
+                yield p, q
+
+
 def naive_point_search(curve: CurveSpec, H: int) -> List[Tuple[Fraction, Fraction]]:
     """All rational points with x = p/q in lowest terms, |p| <= H, q <= H.
 
     Enumerates Farey-style lowest-term fractions (so each x appears once),
     tests the right-hand side for exact squareness, and returns points sorted
-    by (x, y), including both square roots when y != 0.
+    by (x, y), including both square roots when y != 0.  Before any value is
+    formed, a top exponent above MAX_ORBIT_N is a ValueError, and a search
+    whose x count times the right-hand side's degree exceeds
+    _SEARCH_DEGREE_CAP raises BudgetExceeded.
     """
     if H < 0:
         raise ValueError("H must be nonnegative")
+    _check_depth(curve)
+    degree = curve.rhs_degree
+    limit = _SEARCH_DEGREE_CAP // degree  # the most x the cap allows
+    if sum(1 for _ in islice(_lowest_terms(H), limit + 1)) > limit:
+        raise BudgetExceeded(
+            f"point search capped at a total right-hand-side degree of {_SEARCH_DEGREE_CAP} "
+            f"over the searched x: height {H} has more than {limit} values of x at degree {degree}",
+            (limit + 1) * degree,
+            _SEARCH_DEGREE_CAP,
+        )
     points: List[Tuple[Fraction, Fraction]] = []
-    for q in range(1, H + 1):
-        for p in range(-H, H + 1):
-            if math.gcd(abs(p), q) != 1:
-                continue
-            x = Fraction(p, q)
-            val = rhs_eval(curve, x)
-            if val < 0:
-                continue
-            y = sqrt_exact(val)
-            if y is None:
-                continue
-            points.append((x, y))
-            if y:
-                points.append((x, -y))
+    for p, q in _lowest_terms(H):
+        x = Fraction(p, q)
+        val = rhs_eval(curve, x)
+        if val < 0:
+            continue
+        y = sqrt_exact(val)
+        if y is None:
+            continue
+        points.append((x, y))
+        if y:
+            points.append((x, -y))
     points.sort()
     return points

@@ -132,12 +132,13 @@ class AdjustedOrbit:
             raise DegeneracyError(f"c_{idx} equals the basepoint shift (vanishing value)")
 
 
-def iterate(c: Fraction, z: Fraction) -> Iterator[Fraction]:
+def iterate(c: Rational, z: Rational) -> Iterator[Rational]:
     """g(z), g(g(z)), ... for g = x^2 + c; the critical orbit is iterate(c, 0).
 
-    Every rational orbit in the package is read from here.  Squaring with
-    ** skips the two gcds of Fraction multiplication: a reduced fraction's
-    square is reduced.
+    Every rational orbit in the package is read from here, and integer
+    orbits too: with int c and z it yields ints.  Squaring with ** skips the
+    two gcds of Fraction multiplication: a reduced fraction's square is
+    reduced.
     """
     while True:
         z = z**2 + c
@@ -156,19 +157,33 @@ def _first_hit(c: Fraction, z: Fraction, target: Fraction) -> Optional[int]:
     """The first n >= 1 with g^n(z) = target for g = x^2 + c, or None.
 
     Used for z = 0 (does the critical orbit reach target?) and for
-    z = target (target's period).  With c and z integral every iterate is an
-    integer, so a non-integral target is never hit and no step is taken.
-    Otherwise the walk stops at a repeated value, at
-    |w| > max(|c|, 2, |z|, |target|), after which absolute values strictly
-    increase, or at den(w) > den(target).  The last exit is sound for both
-    uses: for z = 0 and non-integral c, den(z_n) = den(c)^(2^(n-1)) strictly
-    increases, and for z = target every point of a rational cycle has the
-    same denominator.  The walk ends, since only finitely many rationals have
-    bounded size and bounded denominator (for integral c the critical orbit
-    stays on the integers).
+    z = target (target's period).  Two cases decide on integers:
+    - c and z integral: every iterate is an integer, so a non-integral
+      target is never hit and no step is taken; otherwise the walk below
+      runs on the numerators, through the same iterate.
+    - z = 0 and c not integral: den(z_n) = den(c)^(2^(n-1)), since the
+      numerator of z_{n-1}^2 + c is prime to den(c).  So only the one n with
+      den(c)^(2^(n-1)) = den(target) can hit, found by squaring den(c);
+      z_n is compared with target there, and no other iterate is formed.
+    Otherwise (the period of a non-integral target under non-integral c)
+    the walk stops at a repeated value, at |w| > max(|c|, 2, |z|, |target|),
+    after which absolute values strictly increase, or at den(w) >
+    den(target), since every point of a rational cycle has the same
+    denominator.  The walk ends, since only finitely many rationals have
+    bounded size and bounded denominator.
     """
-    if c.denominator == 1 and z.denominator == 1 and target.denominator > 1:
-        return None
+    if c.denominator == 1 and z.denominator == 1:
+        if target.denominator > 1:
+            return None
+        c, z, target = c.numerator, z.numerator, target.numerator
+    elif z == 0:
+        den, n = c.denominator, 1
+        while den < target.denominator:
+            den *= den
+            n += 1
+        if den != target.denominator:
+            return None
+        return n if next(islice(iterate(c, z), n - 1, None)) == target else None
     bound = max(abs(c), 2, abs(z), abs(target))
     den = target.denominator
     seen = set()

@@ -42,6 +42,7 @@ from .indexsets import _support_of
 from .primes import is_probable_prime, primes_from, sieve
 from .squares import (
     QuadElement,
+    _is_square_in_quad_int,
     is_square_int,
     is_square_in_quad,
     quad_independent,
@@ -522,7 +523,18 @@ def _quad_field_search(c: Fraction, beta: Fraction) -> Optional[QuadFieldD8Cert]
     """Walk the rational backward orbit of beta, _BACKWARD_DEPTH levels deep;
     at the first irrational preimage sqrt(t - c) test the two shifted orbit
     values for independence modulo squares in Q(sqrt(d)).
+
+    With (d, m) = _radicand_field(t - c), R = den(t - c) and c = a/b, the
+    values are e1 = -c + m*sqrt(d) and e2 = c^2 + c - m*sqrt(d), m = 1/R.
+    Scaling by the square (bR)^2 keeps their classes and makes them
+    A + B*sqrt(d) with integer A and B: e1 becomes -abR^2 + b^2 R sqrt(d) and
+    e2 becomes (a^2 + ab)R^2 - b^2 R sqrt(d).  They are independent exactly
+    when none of e1, e2 and e1*e2 is a square (none is 0: B != 0 for both),
+    each decided by squares._is_square_in_quad_int.  e1*e2 has B =
+    b^2 R (A2 - A1) = a(a + 2b) b^2 R^3, rational exactly at c in {0, -2}.
+    The certificate replays the same test over QuadElements.
     """
+    a, b = c.numerator, c.denominator
     c1_raw = -c
     c2_raw = c * c + c
     queue: List[Tuple[Fraction, Tuple[Fraction, ...]]] = [(beta, (beta,))]
@@ -539,12 +551,14 @@ def _quad_field_search(c: Fraction, beta: Fraction) -> Optional[QuadFieldD8Cert]
                         next_queue.append((child, chain + (child,)))
                 continue
             d, m = _radicand_field(radicand)
-            e1 = QuadElement(c1_raw, m, d)
-            e2 = QuadElement(c2_raw, -m, d)
-            if quad_independent([e1, e2]) == 2:
-                return QuadFieldD8Cert(
-                    d, chain, radicand, (e1.a, e1.b), (e2.a, e2.b)
-                )
+            R = radicand.denominator
+            a1, a2, b1 = -a * b * R * R, (a * a + a * b) * R * R, b * b * R
+            if not (
+                _is_square_in_quad_int(a1, b1, d)
+                or _is_square_in_quad_int(a2, -b1, d)
+                or _is_square_in_quad_int(a1 * a2 - d * b1 * b1, b1 * (a2 - a1), d)
+            ):
+                return QuadFieldD8Cert(d, chain, radicand, (c1_raw, m), (c2_raw, -m))
         queue = next_queue
         if not queue:
             break

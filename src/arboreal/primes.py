@@ -33,10 +33,11 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 class BudgetExceeded(Exception):
-    """Factorization ran out of its operation budget.
+    """A bounded computation ran out of its budget: factorization's operation
+    count, or a curve point search's total right-hand-side degree.
 
-    `spent` is the operation count charged when it stopped, `budget` the
-    count it was given.
+    `spent` is the count charged when it stopped, `budget` the count it was
+    given.
     """
 
     def __init__(self, message: str, spent: int, budget: int) -> None:

@@ -271,6 +271,25 @@ def is_square_in_quad(x: QuadElement) -> Optional[Tuple[Fraction, Fraction]]:
     return None
 
 
+def _is_square_in_quad_int(a: int, b: int, d: int) -> bool:
+    """Whether a + b*sqrt(d) is a square in Q(sqrt(d)), for integers a, b, not
+    both 0, and d not a square: is_square_in_quad on integers, without a
+    witness.
+
+    For b != 0 the norm a^2 - d b^2 must be a square n^2 and one of
+    (a +- n)/2, that is one of 2(a +- n), a nonzero square; then u^2 =
+    (a +- n)/2 and v = b/(2u) give (u + v*sqrt(d))^2 = a + b*sqrt(d).  For
+    b = 0, a or a*d must be a square.
+    """
+    if b == 0:
+        return is_square_int(a) or is_square_int(a * d)
+    norm = a * a - d * b * b
+    if norm < 0:
+        return False
+    n = math.isqrt(norm)
+    return n * n == norm and any(t > 0 and is_square_int(t) for t in (2 * (a + n), 2 * (a - n)))
+
+
 def quad_independent(xs: Sequence[QuadElement]) -> int:
     """Dimension of the span of xs in Q(sqrt(d))* mod squares.
 

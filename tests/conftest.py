@@ -36,6 +36,24 @@ def reference_orbit(pair, N):
     return tuple(raw), tuple(adjusted), degeneracy
 
 
+def reference_first_hit(c, z, target):
+    """The first n >= 1 with g^n(z) = target for g = x^2 + c, or None, by a
+    Fraction walk of its own: it stops at a repeated value, at |w| >
+    max(|c|, 2, |z|, |target|) or at den(w) > den(target), the exits
+    dynamics._first_hit documents for its general case."""
+    c, z, target = Fraction(c), Fraction(z), Fraction(target)
+    bound = max(abs(c), 2, abs(z), abs(target))
+    seen = set()
+    w, n = z, 0
+    while True:
+        w, n = w * w + c, n + 1
+        if w == target:
+            return n
+        if w in seen or abs(w) > bound or w.denominator > target.denominator:
+            return None
+        seen.add(w)
+
+
 def general_pairs(seed, count):
     """Seeded (a, b, alpha) with a != 0; every fourth alpha is f^m(a) for
     some m <= 4, so the orbit degenerates at index m."""

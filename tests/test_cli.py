@@ -383,6 +383,22 @@ def test_curve_right_hand_side_depth_is_capped(capsys):
         assert captured.err == f"arboreal: input error: need exponents k*l+i0 <= {MAX_ORBIT_N}, got 41\n"
 
 
+def test_curve_search_work_is_capped(capsys):
+    # about 80 right-hand sides of degree 2^18 at height 8 exceed the
+    # total-degree cap: exit 2 before any value is formed
+    start = time.perf_counter()
+    code, out = run(capsys, "curve", "1/3,2", "--k", "17", "--search", "8")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "point search capped at a total right-hand-side degree of 2097152 over "
+        "the searched x: height 8 has more than 8 values of x at degree 262144"
+    }
+    # height 2 has 7 such values, within the cap
+    code, records = run_json(capsys, "curve", "1/3,2", "--k", "17", "--search", "2")
+    assert code == 0 and records[0]["points"] == [] and records[0]["search_height"] == 2
+
+
 def test_curve_vector_names_its_curve_without_a_point(capsys):
     # {3,5,7} names k = 2, l = 3, and c_3 c_5 c_7 is not a square for (x^2 + 1, 0)
     code, records = run_json(capsys, "curve", "1,0", "--vector", "{3,5,7}", "--i0", "1", "--search", "2")

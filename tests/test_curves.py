@@ -5,10 +5,19 @@ from itertools import islice
 import pytest
 from conftest import general_pairs, reference_orbit
 
-from arboreal.curves import CurveSpec, construct_point, is_smooth, naive_point_search, rhs_eval
+from arboreal.curves import (
+    _SEARCH_DEGREE_CAP,
+    CurveSpec,
+    _lowest_terms,
+    construct_point,
+    is_smooth,
+    naive_point_search,
+    rhs_eval,
+)
 from arboreal.cli import rationals_of_height
 from arboreal.dynamics import MAX_ORBIT_N, DegeneracyError, QuadPair, _in_critical_orbit, adjusted_orbit, iterate
 from arboreal.indexsets import IndexVector
+from arboreal.primes import BudgetExceeded
 from arboreal.squares import sqrt_exact
 
 F = Fraction
@@ -85,6 +94,22 @@ def test_naive_point_search_domain():
     assert naive_point_search(curve, 0) == []
     pts = naive_point_search(curve, 1)
     assert {x for x, _ in pts} <= {F(-1), F(0), F(1)}
+
+
+def test_naive_point_search_work_is_capped():
+    # 2^21 // 2^18 = 8 values of x fit under the cap: height 2 has 7, height 3 has 15
+    curve = CurveSpec(QuadPair.from_normal(F(1, 3), 2), 17, 1, 1)
+    assert [len(list(_lowest_terms(H))) for H in (1, 2, 3)] == [3, 7, 15]
+    with pytest.raises(BudgetExceeded, match=f"degree of {_SEARCH_DEGREE_CAP} .* height 3 has more than 8") as info:
+        naive_point_search(curve, 3)
+    assert (info.value.spent, info.value.budget) == (9 * 2**18, _SEARCH_DEGREE_CAP)
+
+
+def test_benchmark_curve_searches_are_far_below_the_cap():
+    # exponents <= 3 (k = i0 = 1, l <= 2) and heights <= 25, as the benchmark's
+    # oracle curves are: a few hundredths of the cap at most
+    work = len(list(_lowest_terms(25))) * CurveSpec(QuadPair.from_normal(0, 1), 1, 2, 1).rhs_degree
+    assert work < _SEARCH_DEGREE_CAP // 100
 
 
 def test_smoothness_flag():

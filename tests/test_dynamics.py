@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import general_pairs, reference_orbit
+from conftest import general_pairs, reference_first_hit, reference_orbit
 
 from arboreal import polys
 from arboreal.cli import rationals_of_height
@@ -197,6 +197,62 @@ def test_first_hit_integral_orbit_skips_non_integral_target(monkeypatch):
     assert _first_hit(F(1), F(0), F(1, 3)) is None
     assert steps == []
     assert _first_hit(F(1), F(0), F(26)) == 4 and len(steps) == 4
+
+
+def test_first_hit_matches_reference_walk():
+    # both uses, the critical orbit (z = 0) and the period (z = target), on
+    # every (c, t) of height <= 10, against the Fraction walk
+    grid = rationals_of_height(10)
+    cases = hits = 0
+    for c in grid:
+        for t in grid:
+            for z in (F(0), t):
+                got = _first_hit(c, z, t)
+                assert got == reference_first_hit(c, z, t), (c, z, t)
+                cases += 1
+                hits += got is not None
+    assert (cases, hits) == (32258, 167)
+
+
+def test_first_hit_huge_denominator():
+    D = 10**60 + 7
+    c = F(1, D)
+    zs = list(itertools.islice(iterate(c, F(0)), 4))
+    # z_3 + 1 has z_3's denominator but is missed; D^3 is no D^(2^(n-1))
+    targets = zs + [zs[2] + 1, F(1, D**3), F(0), F(5)]
+    assert [_first_hit(c, F(0), t) for t in targets] == [1, 2, 3, 4, None, None, None, None]
+    for t in targets:
+        for z in (F(0), t):
+            assert _first_hit(c, z, t) == reference_first_hit(c, z, t)
+
+
+def test_first_hit_steps_only_the_candidate_index(monkeypatch):
+    # z = 0, non-integral c: den(z_n) = den(c)^(2^(n-1)), so the walk forms
+    # z_1..z_n for the one n that matches den(target), and nothing when no
+    # n does
+    steps = []
+
+    def counting_iterate(c, z):
+        for w in iterate(c, z):
+            steps.append(w)
+            yield w
+
+    grid = rationals_of_height(6)
+    cases = []
+    for c in grid:
+        if c.denominator > 1:
+            orbit = list(itertools.islice(iterate(c, F(0)), 4))
+            cases += [(c, t) for t in grid + orbit + [orbit[-1] - 1]]
+    monkeypatch.setattr("arboreal.dynamics.iterate", counting_iterate)
+    stepped = set()
+    for c, t in cases:
+        candidate = next((n for n in range(1, 6) if c.denominator ** (1 << (n - 1)) == t.denominator), None)
+        steps.clear()
+        hit = _first_hit(c, F(0), t)
+        assert len(steps) == (candidate or 0)
+        assert hit in (None, candidate)
+        stepped.add(len(steps))
+    assert stepped == {0, 1, 2, 3, 4}
 
 
 def test_pcf_integral_sweep():

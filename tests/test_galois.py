@@ -26,7 +26,10 @@ from arboreal.galois import (
     FaithfulNode2DimCert,
     GroupId,
     Level2D8Cert,
+    QuadFieldD8Cert,
     _independent_classes,
+    _quad_field_search,
+    _radicand_field,
     _sieved_odd_primes,
     _zero_cycle,
     ab_dimension,
@@ -41,7 +44,14 @@ from arboreal.galois import (
     replay_certificate,
 )
 from arboreal.primes import primes_from, sieve
-from arboreal.squares import span_dimension, square_class, sqrt_exact
+from arboreal.squares import (
+    QuadElement,
+    _is_square_in_quad_int,
+    quad_independent,
+    span_dimension,
+    square_class,
+    sqrt_exact,
+)
 
 F = Fraction
 
@@ -642,6 +652,63 @@ def test_classify_quad_field_case():
     assert cert.d == 2
     assert cert.c1_shifted == (1, 1) and cert.c2_shifted == (0, -1)  # 1 + sqrt2 and -sqrt2
     assert replay_certificate(cert)
+
+
+def _reference_quad_field_search(c, beta):
+    """The quadratic-field step deciding over QuadElements with
+    quad_independent: the same backward walk as _quad_field_search."""
+    queue = [(beta, (beta,))]
+    visited = {beta}
+    for _ in range(8):
+        next_queue = []
+        for t, chain in queue:
+            radicand = t - c
+            s = sqrt_exact(radicand)
+            if s is not None:
+                for child in (s, -s):
+                    if child not in visited:
+                        visited.add(child)
+                        next_queue.append((child, chain + (child,)))
+                continue
+            d, m = _radicand_field(radicand)
+            e1 = QuadElement(-c, m, d)
+            e2 = QuadElement(c * c + c, -m, d)
+            if quad_independent([e1, e2]) == 2:
+                return QuadFieldD8Cert(d, chain, radicand, (e1.a, e1.b), (e2.a, e2.b))
+        queue = next_queue
+        if not queue:
+            break
+    return None
+
+
+def test_quad_field_search_matches_quad_independent(monkeypatch):
+    # every (c, beta) of height <= 7: the integer test certifies exactly where
+    # quad_independent over QuadElements does, with the same certificate
+    # (repr also tells an int from a Fraction), and every certificate replays
+    calls = []
+
+    def recording(a, b, d):
+        calls.append(b)
+        return _is_square_in_quad_int(a, b, d)
+
+    monkeypatch.setattr("arboreal.galois._is_square_in_quad_int", recording)
+    grid = rationals_of_height(7)
+    certified = 0
+    rational_products = set()
+    for c in grid:
+        for beta in grid:
+            calls.clear()
+            cert = _quad_field_search(c, beta)
+            assert repr(cert) == repr(_reference_quad_field_search(c, beta)), (c, beta)
+            if cert is not None:
+                certified += 1
+                assert replay_certificate(cert)
+            # e1 and e2 have sqrt(d) part +-b^2 R, never 0, so a rational call
+            # is e1*e2, whose sqrt(d) part a(a + 2b) b^2 R^3 vanishes at c in {0, -2}
+            if 0 in calls:
+                rational_products.add(c)
+    assert (len(grid) ** 2, certified) == (5041, 4920)
+    assert rational_products == {0, -2}
 
 
 def test_classify_level2_case():

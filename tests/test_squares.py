@@ -13,6 +13,7 @@ from arboreal.squares import (
     DegenerateSquareWarning,
     QuadElement,
     SquareClass,
+    _is_square_in_quad_int,
     all_valuations_even,
     coprime_base,
     is_perfect_square,
@@ -228,6 +229,22 @@ def test_quad_witness_squares_back(a, b, d):
         u, v = witness
         w = QuadElement(u, v, d)
         assert w * w == x
+
+
+def test_integer_quad_square_test_matches_witness_search():
+    # the integer predicate against is_square_in_quad on a grid of a + b sqrt(d),
+    # plus the squares (u + v sqrt(d))^2 and their rational multiples by d,
+    # so that both branches (b = 0 and b != 0) see squares and non-squares
+    seen = set()
+    for d in (2, 3, 5, 8, 12, -1, -2, -3, -4):
+        grid = [(a, b) for a in range(-15, 16) for b in range(-15, 16) if (a, b) != (0, 0)]
+        grid += [(u * u + d * v * v, 2 * u * v) for u in range(-6, 7) for v in range(-6, 7) if (u, v) != (0, 0)]
+        grid += [(d * u * u, 0) for u in range(1, 7)]
+        for a, b in grid:
+            expected = is_square_in_quad(QuadElement(a, b, d)) is not None
+            assert _is_square_in_quad_int(a, b, d) == expected, (a, b, d)
+            seen.add((b == 0, expected))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_quad_independent_examples():
