@@ -157,10 +157,9 @@ def run_survey(
 ) -> dict:
     """Classify every normal-form pair (x^2 + c, alpha) on the height grid.
 
-    The level-2 D8 test decides most pairs on integers: for c = a/b and
-    alpha = r/s, c_1 = alpha - c and c_2 = c^2 + c - alpha have num*den
-    equal, up to a nonzero square, to q1 = (rb - as)sb and
-    q2 = (a^2 s + abs - rb^2)s.  Only the other pairs reach classify_abelian.
+    The level-2 D8 test decides most pairs on the integers
+    galois._level2_classes reads off c = a/b and alpha = r/s.  Only the
+    other pairs reach classify_abelian.
     """
     alphas = _grid(alpha_height)
     cs = _grid(c_height)
@@ -170,8 +169,7 @@ def run_survey(
     rows: List[dict] = []
     for a, b, c_text in cs:
         for r, s, alpha_text in alphas:
-            q1 = (r * b - a * s) * s * b
-            q2 = (a * a * s + a * b * s - r * b * b) * s
+            q1, q2 = galois._level2_classes(a, b, r, s)
             if q1 and q2 and galois._independent_classes(q1, q2):
                 status, provenance = galois.D8_STATUS, galois.D8_PROVENANCE
             else:
@@ -450,16 +448,17 @@ def _cmd_curve(args) -> int:
         record["constructed_point"] = None if point is None else {"x": str(point.x), "y": str(point.y)}
     else:
         curve = curves_mod.CurveSpec(pair, 1 if args.k is None else args.k, args.l, args.i0)
-    record["curve"] = curve.describe()
-    record["genus"] = curve.genus
-    record["genus_at_least_2"] = curve.genus >= 2
-    record["smooth"] = curves_mod.is_smooth(curve)
+    # --x and --search check depth and cap before the fields that grow with l
     if args.x is not None:
         record["rhs_at_x"] = str(curves_mod.rhs_eval(curve, parse_rational(args.x)))
     if args.search is not None:
         points = curves_mod.naive_point_search(curve, args.search)
         record["points"] = [[str(x), str(y)] for x, y in points]
         record["search_height"] = args.search
+    record["curve"] = curve.describe()
+    record["genus"] = curve.genus
+    record["genus_at_least_2"] = curve.genus >= 2
+    record["smooth"] = curves_mod.is_smooth(curve)
     _emit([record], args.format, ("pair", "genus", "smooth"))
     return EXIT_OK
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, List, Optional, Tuple
 
-from .dynamics import MAX_ORBIT_N, QuadPair, _first_hit, _in_critical_orbit, _orbit_prefix, _support_square
+from .dynamics import QuadPair, _check_depth, _first_hit, _in_critical_orbit, _orbit_prefix, _support_square
 from .indexsets import IndexVector, is_progression
 from .primes import BudgetExceeded
 from .squares import sqrt_exact
@@ -75,18 +75,11 @@ def rhs_eval(curve: CurveSpec, x: Fraction) -> Fraction:
     In normal form f^m(x) - alpha = g^m(x - a) - beta.  An exponent above
     MAX_ORBIT_N is a ValueError.
     """
-    _check_depth(curve)
+    _check_depth(curve.k * curve.l + curve.i0, "exponents k*l+i0")
     exponents = curve.exponents  # increasing
     c, beta = curve.pair.normal_form()
     zs = _orbit_prefix(c, Fraction(x) - curve.pair.a, exponents[-1])
     return math.prod((zs[m - 1] - beta for m in exponents), start=Fraction(1))
-
-
-def _check_depth(curve: CurveSpec) -> None:
-    """ValueError when the top exponent k*l+i0 exceeds MAX_ORBIT_N."""
-    top = curve.exponents[-1]
-    if top > MAX_ORBIT_N:
-        raise ValueError(f"need exponents k*l+i0 <= {MAX_ORBIT_N}, got {top}")
 
 
 @dataclass(frozen=True)
@@ -130,10 +123,12 @@ def construct_point(
     When the product of c_{i,alpha} over the support is a square y0^2, the
     point (f^(s-k-i0)(critical point), y0) lands on that curve, because
     f^(k*j + i0)(x0) - alpha = c_{s + k*(j-1), alpha} exactly.
-    Returns None when the product is not a square.
+    Returns None when the product is not a square; a support index above
+    MAX_ORBIT_N is a ValueError.
     """
     curve = _progression_curve(pair, v, i0, k)
     support = tuple(v.support)
+    _check_depth(support[-1], "support indices")
     prod, y0 = _support_square(pair, support)
     if y0 is None:
         return None
@@ -165,7 +160,7 @@ def naive_point_search(curve: CurveSpec, H: int) -> List[Tuple[Fraction, Fractio
     """
     if H < 0:
         raise ValueError("H must be nonnegative")
-    _check_depth(curve)
+    _check_depth(curve.k * curve.l + curve.i0, "exponents k*l+i0")
     degree = curve.rhs_degree
     limit = _SEARCH_DEGREE_CAP // degree  # the most x the cap allows
     if sum(1 for _ in islice(_lowest_terms(H), limit + 1)) > limit:

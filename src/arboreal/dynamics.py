@@ -23,7 +23,7 @@ from .squares import _divide_out, _frac, sqrt_exact
 
 Rational = Union[int, Fraction]
 
-# Deepest exact orbit list, checked in _orbit_prefix: c_n has about 2^n digits,
+# Deepest exact orbit index, checked in _check_depth: c_n has about 2^n digits,
 # and (x^2 + 1/3, 2) at N = 18 prints 0.5 MB in about 0.4 s.
 MAX_ORBIT_N = 18
 
@@ -145,11 +145,17 @@ def iterate(c: Rational, z: Rational) -> Iterator[Rational]:
         yield z
 
 
+def _check_depth(top: int, what: str) -> None:
+    """The one depth check, asked before any orbit value is built: ValueError
+    when `top`, the deepest index asked for, exceeds MAX_ORBIT_N."""
+    if top > MAX_ORBIT_N:
+        raise ValueError(f"need {what} <= {MAX_ORBIT_N}, got {top}")
+
+
 def _orbit_prefix(c: Fraction, z: Fraction, n: int) -> List[Fraction]:
     """[g(z), ..., g^n(z)] for g = x^2 + c: the one exact orbit list, so n
     above MAX_ORBIT_N is a ValueError."""
-    if n > MAX_ORBIT_N:
-        raise ValueError(f"need N <= {MAX_ORBIT_N}, got {n}")
+    _check_depth(n, "N")
     return list(islice(iterate(c, z), n))
 
 
@@ -326,9 +332,10 @@ def orbit_valuations(c: Rational, p: int, N: int) -> ValuationReport:
     v(c_m) = v(c_n0) exactly when n0 | m and 0 otherwise.
     """
     c = _frac(c)
-    orbit = adjusted_orbit(QuadPair.from_normal(c, 0), N)  # a deep N is reported first
-    if not is_probable_prime(p):
+    _check_depth(N, "N")  # a deep N is reported first, then p, before any value is built
+    if N >= 1 and not is_probable_prime(p):  # N < 1 is adjusted_orbit's error
         raise ValueError(f"{p} is not prime")
+    orbit = adjusted_orbit(QuadPair.from_normal(c, 0), N)
     if orbit.degeneracy_index is not None:
         raise DegeneracyError(f"c_{orbit.degeneracy_index} = 0: the orbit vanishes")
     values = tuple(_valuation(cn, p) for cn in orbit.raw)

@@ -24,11 +24,11 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from . import polys
 from .dynamics import (
-    MAX_ORBIT_N,
     DegeneracyError,
     PCI,
     QuadPair,
     _as_json,
+    _check_depth,
     _in_critical_orbit,
     _support_square,
     _valuation,
@@ -44,7 +44,6 @@ from .squares import (
     QuadElement,
     _is_square_in_quad_int,
     is_square_int,
-    is_square_in_quad,
     quad_independent,
     span_dimension,
     sqrt_exact,
@@ -90,8 +89,7 @@ def contained_in_Mv(pair: QuadPair, v) -> bool:
         return True
     if support[0] < 1:
         raise ValueError("support indices are positive")
-    if support[-1] > MAX_ORBIT_N:
-        raise ValueError(f"need support indices <= {MAX_ORBIT_N}, got {support[-1]}")
+    _check_depth(support[-1], "support indices")
     if in_post_critical_orbit(pair):
         raise DegeneracyError("basepoint lies in the post-critical orbit")
     return _support_square(pair, support)[1] is not None
@@ -107,13 +105,22 @@ def ab_dimension(pair: QuadPair, N: int) -> int:
 # --- exact level-2 group ----------------------------------------------------
 
 
-def _radicand_field(q: Fraction) -> Tuple[int, Fraction]:
-    """(d, m) with q = d * m^2: d = num(q) * den(q) and m = 1/den(q).
+def _level2_classes(a: int, b: int, r: int, s: int) -> Tuple[int, int]:
+    """(q1, q2) = ((rb - as)sb, (a^2 s + abs - rb^2)s) for c = a/b, beta = r/s:
+    in the square classes of c_1 = beta - c = (rb - as)/(sb) and c_2 = c^2 +
+    c - beta = (a^2 s + abs - rb^2)/(b^2 s), and 0 exactly when they are."""
+    return (r * b - a * s) * s * b, (a * a * s + a * b * s - r * b * b) * s
 
-    Square-free d is not needed, so nothing is factored; d is a square
-    exactly when q is.
-    """
-    return q.numerator * q.denominator, Fraction(1, q.denominator)
+
+def _shifted_values(c: Fraction, radicand: Fraction) -> Tuple[int, int, int, int]:
+    """(d, A1, A2, B) for e1 = -c + sqrt(radicand) and e2 = c^2 + c -
+    sqrt(radicand) in Q(sqrt(d)), d = num * den of the non-square radicand
+    (unfactored).  With c = a/b and R = den(radicand), sqrt(radicand) =
+    sqrt(d)/R, and scaling by the square (bR)^2 makes e1 = A1 + B*sqrt(d)
+    and e2 = A2 - B*sqrt(d): A1 = -abR^2, A2 = (a^2 + ab)R^2, B = b^2 R."""
+    a, b = c.numerator, c.denominator
+    R = radicand.denominator
+    return radicand.numerator * R, -a * b * R * R, (a * a + a * b) * R * R, b * b * R
 
 
 def _independent_classes(q1: int, q2: int) -> bool:
@@ -153,14 +160,15 @@ def level2_data(pair: QuadPair) -> Level2Data:
         the quartic splits over K and the group is C2; else the group has
         order 4, V4 when q is a square and C4 when c_{1,beta} * q is.
 
-    K is written Q(sqrt(num * den)) for c_{1,beta} = num/den, which needs no
-    factorization: sqrt(c_{1,beta}) = sqrt(num * den) / den.
+    Every test runs on integers: the classes of _level2_classes, and d and
+    -c + sqrt(c_{1,beta}) = e1 of _shifted_values, with one norm test.
     """
     c, beta = pair.normal_form()
+    q1, q2 = _level2_classes(c.numerator, c.denominator, beta.numerator, beta.denominator)
+    if q1 == 0 or q2 == 0:
+        raise DegeneracyError("level-2 data needs nonvanishing c_1 and c_2")
     c1 = beta - c
     c2 = c * c + c - beta
-    if c1 == 0 or c2 == 0:
-        raise DegeneracyError("level-2 data needs nonvanishing c_1 and c_2")
 
     def image(*gens: Tuple[int, int]) -> FrozenSet[Tuple[int, int]]:
         span = {(0, 0)}
@@ -168,10 +176,10 @@ def level2_data(pair: QuadPair) -> Level2Data:
             span |= {(a ^ g[0], b ^ g[1]) for (a, b) in span}
         return frozenset(span)
 
-    if _independent_classes(c1.numerator * c1.denominator, c2.numerator * c2.denominator):
+    if _independent_classes(q1, q2):
         return Level2Data(GroupId.D8, c1, c2, "independent-classes", {}, image((1, 0), (0, 1)))
 
-    sq2 = sqrt_exact(c2) is not None
+    sq2 = is_square_int(q2)
     s = sqrt_exact(c1)
     if s is not None:
         d_plus, d_minus = -c + s, -c - s
@@ -187,14 +195,9 @@ def level2_data(pair: QuadPair) -> Level2Data:
             group = GroupId.V4
         return Level2Data(group, c1, c2, "rational-halves", details, image((0, 0 if sq2 else 1)))
 
-    d, m = _radicand_field(c1)
-    d_plus = QuadElement(-c, m, d)
-    witness = is_square_in_quad(d_plus)
-    if witness is not None:
-        return Level2Data(
-            GroupId.C2, c1, c2, "splits-over-quadratic",
-            {"d": d, "witness": witness}, image((1, 0)),
-        )
+    d, a1, _, b1 = _shifted_values(c, c1)
+    if _is_square_in_quad_int(a1, b1, d):
+        return Level2Data(GroupId.C2, c1, c2, "splits-over-quadratic", {"d": d}, image((1, 0)))
     if sq2:
         return Level2Data(GroupId.V4, c1, c2, "biquadratic-V4", {"d": d}, image((1, 0)))
     return Level2Data(GroupId.C4, c1, c2, "biquadratic-C4", {"d": d}, image((1, 1)))
@@ -524,19 +527,13 @@ def _quad_field_search(c: Fraction, beta: Fraction) -> Optional[QuadFieldD8Cert]
     at the first irrational preimage sqrt(t - c) test the two shifted orbit
     values for independence modulo squares in Q(sqrt(d)).
 
-    With (d, m) = _radicand_field(t - c), R = den(t - c) and c = a/b, the
-    values are e1 = -c + m*sqrt(d) and e2 = c^2 + c - m*sqrt(d), m = 1/R.
-    Scaling by the square (bR)^2 keeps their classes and makes them
-    A + B*sqrt(d) with integer A and B: e1 becomes -abR^2 + b^2 R sqrt(d) and
-    e2 becomes (a^2 + ab)R^2 - b^2 R sqrt(d).  They are independent exactly
-    when none of e1, e2 and e1*e2 is a square (none is 0: B != 0 for both),
-    each decided by squares._is_square_in_quad_int.  e1*e2 has B =
-    b^2 R (A2 - A1) = a(a + 2b) b^2 R^3, rational exactly at c in {0, -2}.
-    The certificate replays the same test over QuadElements.
+    The values e1, e2 of _shifted_values(c, t - c) are independent exactly
+    when none of e1, e2 and e1*e2 is a square (none is 0: B != 0), each
+    decided by squares._is_square_in_quad_int.  e1*e2 has sqrt(d) part
+    B(A2 - A1) = a(a + 2b) b^2 R^3, rational exactly at c = a/b in {0, -2}.
+    The certificate writes sqrt(t - c) as sqrt(d)/R and replays the same
+    test over QuadElements.
     """
-    a, b = c.numerator, c.denominator
-    c1_raw = -c
-    c2_raw = c * c + c
     queue: List[Tuple[Fraction, Tuple[Fraction, ...]]] = [(beta, (beta,))]
     visited = {beta}
     for _ in range(_BACKWARD_DEPTH):
@@ -550,15 +547,14 @@ def _quad_field_search(c: Fraction, beta: Fraction) -> Optional[QuadFieldD8Cert]
                         visited.add(child)
                         next_queue.append((child, chain + (child,)))
                 continue
-            d, m = _radicand_field(radicand)
-            R = radicand.denominator
-            a1, a2, b1 = -a * b * R * R, (a * a + a * b) * R * R, b * b * R
+            d, a1, a2, b1 = _shifted_values(c, radicand)
             if not (
                 _is_square_in_quad_int(a1, b1, d)
                 or _is_square_in_quad_int(a2, -b1, d)
                 or _is_square_in_quad_int(a1 * a2 - d * b1 * b1, b1 * (a2 - a1), d)
             ):
-                return QuadFieldD8Cert(d, chain, radicand, (c1_raw, m), (c2_raw, -m))
+                m = Fraction(1, radicand.denominator)
+                return QuadFieldD8Cert(d, chain, radicand, (-c, m), (c * c + c, -m))
         queue = next_queue
         if not queue:
             break
@@ -614,14 +610,12 @@ def classify_abelian(
     if tag is not None:
         return AbelianVerdict("abelian", tag, None, "abelian-pair-table", None)
 
+    q1, q2 = _level2_classes(c.numerator, c.denominator, beta.numerator, beta.denominator)
     c1 = beta - c
-    c2 = c * c + c - beta
-    q1 = c1.numerator * c1.denominator
-    q2 = c2.numerator * c2.denominator
 
     # 1. level-2 D8 criterion
     if q1 and q2 and _independent_classes(q1, q2):
-        return AbelianVerdict(D8_STATUS, None, Level2D8Cert(c1, c2), D8_PROVENANCE, None)
+        return AbelianVerdict(D8_STATUS, None, Level2D8Cert(c1, c * c + c - beta), D8_PROVENANCE, None)
 
     # 2. local ramification at an odd prime
     found = nonabelian_prime_search(pair, prime_bound)

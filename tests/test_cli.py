@@ -383,6 +383,29 @@ def test_curve_right_hand_side_depth_is_capped(capsys):
         assert captured.err == f"arboreal: input error: need exponents k*l+i0 <= {MAX_ORBIT_N}, got 41\n"
 
 
+def test_curve_vector_depth_names_the_support(capsys):
+    # curve has no N: its deepest index is the vector's
+    assert main(["curve", "1/3,2", "--vector", "{20,22}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"arboreal: input error: need support indices <= {MAX_ORBIT_N}, got 22\n"
+
+
+def test_curve_checks_x_and_search_before_the_record(capsys):
+    # a million factors: the description, genus and smoothness grow with l,
+    # so --x and --search report their depth before any of them is built
+    for extra in (["--x", "1"], ["--search", "1"]):
+        start = time.perf_counter()
+        assert main(["curve", "1/3,2", "--k", "3", "--l", "1000000", *extra]) == 1
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"arboreal: input error: need exponents k*l+i0 <= {MAX_ORBIT_N}, got 3000001\n"
+    # of two errors, the vector's is still reported first
+    assert main(["curve", "1/3,2", "--vector", "{2,4,7}", "--k", "3", "--l", "1000000", "--x", "1"]) == 1
+    assert capsys.readouterr().err == "arboreal: input error: support must be an arithmetic progression\n"
+
+
 def test_curve_search_work_is_capped(capsys):
     # about 80 right-hand sides of degree 2^18 at height 8 exceed the
     # total-degree cap: exit 2 before any value is formed
@@ -588,6 +611,19 @@ def test_orbit_depth_is_checked_before_the_prime(capsys):
     assert capsys.readouterr().err == f"arboreal: input error: need N <= {MAX_ORBIT_N}, got {MAX_ORBIT_N + 1}\n"
     assert main(["valuations", "-c", "1/3", "-p", "4", "-N", str(MAX_ORBIT_N)]) == 1
     assert capsys.readouterr().err == "arboreal: input error: 4 is not prime\n"
+
+
+def test_valuations_checks_the_prime_before_building_the_orbit(capsys):
+    # c_18 of x^2 + 10^200 + 7 has about 2^17 * 200 digits
+    start = time.perf_counter()
+    assert main(["valuations", "-c", str(10**200 + 7), "-p", "15", "-N", str(MAX_ORBIT_N)]) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "arboreal: input error: 15 is not prime\n"
+    # N < 1 is still reported before the prime
+    assert main(["valuations", "-c", "1/3", "-p", "4", "-N", "0"]) == 1
+    assert capsys.readouterr().err == "arboreal: input error: N must be >= 1\n"
 
 
 def test_lazy_classifier_depth_is_not_capped(capsys):

@@ -28,8 +28,8 @@ from arboreal.galois import (
     Level2D8Cert,
     QuadFieldD8Cert,
     _independent_classes,
+    _level2_classes,
     _quad_field_search,
-    _radicand_field,
     _sieved_odd_primes,
     _zero_cycle,
     ab_dimension,
@@ -47,6 +47,7 @@ from arboreal.primes import primes_from, sieve
 from arboreal.squares import (
     QuadElement,
     _is_square_in_quad_int,
+    is_square_in_quad,
     quad_independent,
     span_dimension,
     square_class,
@@ -164,6 +165,38 @@ def test_level2_d8_iff_dimension_two():
         if dim is None:
             continue
         assert (level2_galois(pair) is GroupId.D8) == (dim == 2)
+
+
+def test_level2_integer_tests_match_fraction_reference():
+    # every pair of height <= 7: the class integers, the D8 test, "c_2 is a
+    # square" and the splits-over-quadratic norm test agree with the Fraction
+    # and QuadElement routes they replaced
+    grid = rationals_of_height(7)
+    cases = Counter()
+    for c in grid:
+        for beta in grid:
+            q1, q2 = _level2_classes(c.numerator, c.denominator, beta.numerator, beta.denominator)
+            try:
+                data = level2_data(QuadPair.from_normal(c, beta))
+            except DegeneracyError:
+                assert q1 * q2 == 0 and (beta - c) * (c * c + c - beta) == 0
+                continue
+            c1, c2 = data.c1, data.c2
+            for q, value in ((q1, c1), (q2, c2)):
+                assert sqrt_exact(F(q, value.numerator * value.denominator)) is not None
+            squares = [sqrt_exact(v) is not None for v in (c1, c2, c1 * c2)]
+            assert (data.case == "independent-classes") == (not any(squares)), (c, beta)
+            cases[data.case] += 1
+            if data.case in ("independent-classes", "rational-halves"):
+                continue
+            d = c1.numerator * c1.denominator
+            assert data.details == {"d": d}
+            witness = is_square_in_quad(QuadElement(-c, F(1, c1.denominator), d))
+            assert (witness is not None) == (data.case == "splits-over-quadratic"), (c, beta)
+            if witness is None:
+                assert data.case == ("biquadratic-V4" if squares[1] else "biquadratic-C4"), (c, beta)
+    assert [cases[k] for k in ("splits-over-quadratic", "biquadratic-V4", "biquadratic-C4")] == [87, 117, 24]
+    assert sum(cases.values()) == 4962
 
 
 def _degenerate2(pair):
@@ -652,6 +685,11 @@ def test_classify_quad_field_case():
     assert cert.d == 2
     assert cert.c1_shifted == (1, 1) and cert.c2_shifted == (0, -1)  # 1 + sqrt2 and -sqrt2
     assert replay_certificate(cert)
+
+
+def _radicand_field(q):
+    """(d, m) with q = d * m^2: d = num(q) * den(q) and m = 1/den(q)."""
+    return q.numerator * q.denominator, F(1, q.denominator)
 
 
 def _reference_quad_field_search(c, beta):
