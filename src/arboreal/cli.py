@@ -149,6 +149,49 @@ def _grid(H: int) -> List[Tuple[int, int, str]]:
     return [(v.numerator, v.denominator, str(v)) for v in rationals_of_height(H)]
 
 
+# Most (c, alpha) pairs one survey classifies: 30/30 has 1,234,321 pairs and
+# takes about 2.5 s and 0.7 GB, since every row is held for the JSON record.
+_SURVEY_PAIR_CAP = 1_250_000
+
+
+def _grid_size(H: int) -> int:
+    """len(rationals_of_height(H)) without building the grid: 0, and +-p/q
+    for each of the 2*Phi(H) - 1 coprime (p, q) in [1, H]^2, where
+    Phi(n) = phi(1) + ... + phi(n) is read off sum_{d<=n} Phi(n // d) =
+    n(n+1)/2 over the distinct quotients n // d."""
+    memo = {}
+
+    def phi_sum(n: int) -> int:
+        if n not in memo:
+            total, d = n * (n + 1) // 2, 2
+            while d <= n:
+                top = n // (n // d)  # the last d' with the same quotient
+                total -= (top - d + 1) * phi_sum(n // d)
+                d = top + 1
+            memo[n] = total
+        return memo[n]
+
+    return 4 * phi_sum(H) - 1 if H else 1
+
+
+def _check_survey_size(c_height: int, alpha_height: int) -> None:
+    """Reject a survey of more than _SURVEY_PAIR_CAP pairs before any grid is
+    built.  A grid of height H holds the 2H + 1 integers -H..H, which bounds
+    the heights before the exact count."""
+    heights = (alpha_height, c_height)
+    for H in heights:
+        if H < 0:
+            raise ValueError(f"height must be nonnegative, got {H}")
+    if (
+        math.prod(2 * H + 1 for H in heights) > _SURVEY_PAIR_CAP
+        or math.prod(map(_grid_size, heights)) > _SURVEY_PAIR_CAP
+    ):
+        raise ValueError(
+            f"need at most {_SURVEY_PAIR_CAP} survey pairs, "
+            f"heights {c_height} and {alpha_height} give more"
+        )
+
+
 def run_survey(
     c_height: int,
     alpha_height: int,
@@ -159,8 +202,10 @@ def run_survey(
 
     The level-2 D8 test decides most pairs on the integers
     galois._level2_classes reads off c = a/b and alpha = r/s.  Only the
-    other pairs reach classify_abelian.
+    other pairs reach classify_abelian.  A grid of more than
+    _SURVEY_PAIR_CAP pairs is a ValueError.
     """
+    _check_survey_size(c_height, alpha_height)
     alphas = _grid(alpha_height)
     cs = _grid(c_height)
     galois._check_settings(prime_bound, dim_N)
@@ -509,7 +554,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("abdim", help="orbit span dimension modulo squares")
     p.add_argument("pair")
     p.add_argument("-N", "--n", type=int, default=galois.DEFAULT_DIM_N)
-    p.add_argument("--factor-budget", type=int)
+    p.add_argument(
+        "--factor-budget",
+        type=int,
+        help="factoring units for the classes display: 1 per trial-division candidate, "
+        "max(1, bits^2 >> 14) per rho step on a cofactor of that many bits "
+        f"(default $ARBOREAL_FACTOR_BUDGET, else {DEFAULT_BUDGET})",
+    )
     p.set_defaults(func=_cmd_abdim)
 
     p = sub.add_parser("group2", help="exact level-2 Galois group")

@@ -20,6 +20,10 @@ from .squares import sqrt_exact
 # size of its exact work: `curve 1/3,2 --k 17 --search 2` (7 values of degree
 # 2^18) stays within it, `--search 8` (about 80 such values) does not.
 _SEARCH_DEGREE_CAP = 2**21
+# Least degree charged for one x: each x costs about 10 us of Fraction
+# arithmetic and square testing whatever its degree, as much as about 330
+# degree units of evaluation (0.031 us each at degrees 2^12 to 2^14).
+_SEARCH_X_DEGREE = 2**8
 
 
 @dataclass(frozen=True)
@@ -155,19 +159,21 @@ def naive_point_search(curve: CurveSpec, H: int) -> List[Tuple[Fraction, Fractio
     tests the right-hand side for exact squareness, and returns points sorted
     by (x, y), including both square roots when y != 0.  Before any value is
     formed, a top exponent above MAX_ORBIT_N is a ValueError, and a search
-    whose x count times the right-hand side's degree exceeds
-    _SEARCH_DEGREE_CAP raises BudgetExceeded.
+    whose x count times the right-hand side's degree, charged at least
+    _SEARCH_X_DEGREE per x, exceeds _SEARCH_DEGREE_CAP raises BudgetExceeded.
     """
     if H < 0:
         raise ValueError("H must be nonnegative")
     _check_depth(curve.k * curve.l + curve.i0, "exponents k*l+i0")
     degree = curve.rhs_degree
-    limit = _SEARCH_DEGREE_CAP // degree  # the most x the cap allows
+    charge = max(degree, _SEARCH_X_DEGREE)
+    limit = _SEARCH_DEGREE_CAP // charge  # the most x the cap allows
     if sum(1 for _ in islice(_lowest_terms(H), limit + 1)) > limit:
+        floor = f", each charged as degree {charge}" if charge > degree else ""
         raise BudgetExceeded(
             f"point search capped at a total right-hand-side degree of {_SEARCH_DEGREE_CAP} "
-            f"over the searched x: height {H} has more than {limit} values of x at degree {degree}",
-            (limit + 1) * degree,
+            f"over the searched x: height {H} has more than {limit} values of x at degree {degree}{floor}",
+            (limit + 1) * charge,
             _SEARCH_DEGREE_CAP,
         )
     points: List[Tuple[Fraction, Fraction]] = []

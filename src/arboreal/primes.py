@@ -1,17 +1,21 @@
 """Budgeted integer factorization and small prime utilities.
 
 Orbit values double in bit length per iteration step, so unbudgeted
-factorization is a hang.  Every factorization here counts elementary
-operations (trial probes, rho iterations) against an explicit budget and
-raises BudgetExceeded when the bound is hit; callers then leave the factored
-output out.  Trial division finds the primes up to TRIAL_LIMIT by one gcd
-per block of about 2^15 integers against the product of the block's primes,
-but still charges one operation per wheel candidate it passes, counted in
-closed form, so the budget runs out on exactly the inputs where probing
-each candidate would.  The large-factor splitter draws its random starts
-from a generator keyed by n alone, so a factorization of n spends the same
-budget in every run.  Only factorize spends a budget: smallest_prime_factor
-stops at trial division and a primality test.
+factorization is a hang.  Every factorization here charges its work to an
+explicit budget of units and raises BudgetExceeded when the budget is spent;
+callers then leave the factored output out.  Trial division finds the
+primes up to TRIAL_LIMIT by one gcd per block of about 2^15 integers against
+the product of the block's primes, but still charges one unit per wheel
+candidate it passes, counted in closed form, so the budget runs out on
+exactly the inputs where probing each candidate would.  A Brent-rho step on
+n is one modular squaring and one modular product, whose cost grows with the
+square of n's length, so it is charged max(1, bits(n)^2 >> 14) units: one up
+to 181 bits, about (bits/128)^2 above.  Each block of steps is charged before
+it runs, so the budget bounds time and not only the step count.  The
+large-factor splitter draws its random starts from a generator keyed by n
+alone, so a factorization of n spends the same budget in every run.  Only
+factorize spends a budget: smallest_prime_factor stops at trial division and
+a primality test.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 class BudgetExceeded(Exception):
-    """A bounded computation ran out of its budget: factorization's operation
-    count, or a curve point search's total right-hand-side degree.
+    """A bounded computation ran out of its budget: factorization's units, or
+    a curve point search's total right-hand-side degree.
 
     `spent` is the count charged when it stopped, `budget` the count it was
     given.
@@ -114,7 +118,13 @@ class _Budget:
 
 
 def _brent_rho(n: int, budget: _Budget) -> int:
-    """A nontrivial factor of odd composite n (Brent's cycle variant)."""
+    """A nontrivial factor of odd composite n (Brent's cycle variant).
+
+    Each step is charged w units, the bit cost given in the module
+    docstring, and each block of steps before it runs, so no step runs once
+    the budget is spent.
+    """
+    w = max(1, n.bit_length() ** 2 >> 14)
     for attempt in range(64):
         rng = random.Random(f"{n}:0:{attempt}")  # fixed key: n always costs the same
         y = rng.randrange(1, n)
@@ -124,25 +134,26 @@ def _brent_rho(n: int, budget: _Budget) -> int:
         x = ys = y
         while g == 1:
             x = y
+            budget.spend(r * w)
             for _ in range(r):
                 y = (y * y + c) % n
-            budget.spend(r)
             k = 0
             while k < r and g == 1:
                 ys = y
-                for _ in range(min(m, r - k)):
+                steps = min(m, r - k)
+                budget.spend(steps * w)
+                for _ in range(steps):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
-                budget.spend(min(m, r - k))
                 g = math.gcd(q, n)
                 k += m
             r *= 2
         if g == n:
             g = 1
             while g == 1:
+                budget.spend(w)
                 ys = (ys * ys + c) % n
                 g = math.gcd(abs(x - ys), n)
-                budget.spend()
         if g != n:
             return g
     raise budget.exceeded("rho failed to split %d" % n)
@@ -263,8 +274,8 @@ def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Dict[int, int]:
     """Prime factorization {p: e} of |n|; n must be nonzero.
 
     Trial division up to 10^6, then Brent rho on what remains.  Raises
-    BudgetExceeded once the operation count is spent; a negative budget is a
-    ValueError.
+    BudgetExceeded once `budget` units are spent (see the module docstring);
+    a negative budget is a ValueError.
     """
     if budget < 0:
         raise ValueError(f"factoring budget must be nonnegative, got {budget}")

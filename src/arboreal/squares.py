@@ -66,8 +66,9 @@ def _frac(q: Rational) -> Fraction:
 def square_class(q: Rational, budget: int = DEFAULT_BUDGET) -> SquareClass:
     """Reduce q (nonzero) modulo rational squares.
 
-    Factors numerator*denominator within `budget` operations (see
-    primes.factorize) and raises BudgetExceeded when that is too costly.
+    Factors numerator*denominator within `budget` units: one per trial
+    candidate, and max(1, bits^2 >> 14) per Brent-rho step on a cofactor of
+    `bits` bits (see primes).  Raises BudgetExceeded when that is too costly.
     Span dimensions never need this: see span_dimension.
     """
     q = _frac(q)

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ import pytest
 import arboreal
 import arboreal.curves
 import arboreal.galois
-from arboreal.cli import build_parser, main, rationals_of_height
+from arboreal.cli import _SURVEY_PAIR_CAP, _grid_size, build_parser, main, rationals_of_height
 from arboreal.dynamics import MAX_ORBIT_N, QuadPair, adjusted_orbit
 from arboreal.primes import primes_from
 
@@ -705,6 +706,61 @@ FACTORING_PINS = [
 def test_factoring_output_is_pinned(capsys, argv, digest):
     code, out = run(capsys, *argv)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+
+
+def test_abdim_classes_on_a_1000_digit_value_end_in_bounded_time(capsys):
+    # the cofactor left after trial division has 3277 bits, so each rho step
+    # is charged 3277^2 >> 14 = 655 units and the budget left after trial
+    # division runs out after about 2,600 steps (45.6 s of rho when each step
+    # cost one unit)
+    value = random.Random(1).randrange(10**999, 10**1000)
+    start = time.perf_counter()
+    code, records = run_json(capsys, "abdim", f"{value},0", "-N", "1")
+    assert time.perf_counter() - start < 5
+    assert code == 0 and records[0]["classes"] is None
+
+
+def test_abdim_classes_past_the_bit_cost_budget_print_null(capsys):
+    # the one record of the height-3 grid at -N 8 that the bit-cost charge
+    # changes: its 200-bit cofactor splits after 909,438 rho steps, now
+    # charged 2 units each, so the default budget no longer reaches the split
+    # and classes is null; twice the budget prints the classes as before
+    argv = ["abdim", "-2/3,-3", "-N", "8"]
+    for extra, digest in (
+        ([], "361483ba4bf9ad036c5ca7e92a27023add2c929bdee022602bbca65f7cd7d255"),
+        (["--factor-budget", "4000000"], "0a0301583b6e30ac9f938337c6a7db35f16c9ed80087c74f9ef6ac6af045e54a"),
+    ):
+        code, out = run(capsys, *argv, *extra)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+        assert ('"classes": null' in out) == (not extra)
+
+
+def test_survey_grid_is_capped_before_it_is_built(capsys):
+    start = time.perf_counter()
+    assert main(["survey", "--c-height", "1000000", "--alpha-height", "1"]) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == (
+        "",
+        "arboreal: input error: need at most 1250000 survey pairs, heights 1000000 and 1 give more\n",
+    )
+
+
+def test_survey_pair_count_is_exact():
+    assert [_grid_size(H) for H in range(60)] == [len(rationals_of_height(H)) for H in range(60)]
+    # 30/30 has 1,234,321 pairs, within the cap; 31/31 has 1,515,361
+    assert _grid_size(30) ** 2 <= _SURVEY_PAIR_CAP < _grid_size(31) ** 2
+
+
+def test_low_degree_curve_search_is_capped(capsys):
+    # about 514,000 values of x at degree 4, each charged as degree 256
+    start = time.perf_counter()
+    code, out = run(capsys, "curve", "1/3,2", "--k", "1", "--search", "650")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "point search capped at a total right-hand-side degree of 2097152 over the "
+        "searched x: height 650 has more than 8192 values of x at degree 4, each charged as degree 256"
+    }
 
 
 # exit code and sha256 of stdout for records rendered from library results:

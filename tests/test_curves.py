@@ -7,6 +7,7 @@ from conftest import general_pairs, reference_orbit
 
 from arboreal.curves import (
     _SEARCH_DEGREE_CAP,
+    _SEARCH_X_DEGREE,
     CurveSpec,
     _lowest_terms,
     construct_point,
@@ -110,6 +111,26 @@ def test_benchmark_curve_searches_are_far_below_the_cap():
     # oracle curves are: a few hundredths of the cap at most
     work = len(list(_lowest_terms(25))) * CurveSpec(QuadPair.from_normal(0, 1), 1, 2, 1).rhs_degree
     assert work < _SEARCH_DEGREE_CAP // 100
+
+
+def test_low_degree_search_charges_each_x_at_least_the_floor():
+    # degree 4 is charged as degree 2^8: 2^21 // 2^8 = 8192 values of x fit,
+    # height 81 has 8079 and height 82 has 8239
+    curve = CurveSpec(QuadPair.from_normal(F(1, 3), 2), 1, 1, 1)
+    assert (curve.rhs_degree, _SEARCH_X_DEGREE) == (4, 256)
+    assert [len(list(_lowest_terms(H))) for H in (81, 82)] == [8079, 8239]
+    assert naive_point_search(curve, 81)
+    with pytest.raises(BudgetExceeded, match="height 82 has more than 8192 values of x at degree 4, each charged") as info:
+        naive_point_search(curve, 82)
+    assert (info.value.spent, info.value.budget) == (8193 * 256, _SEARCH_DEGREE_CAP)
+
+
+def test_benchmark_curve_searches_stay_within_the_charged_cap():
+    # heights <= 25 and l <= 2 at k = i0 = 1, as the benchmark's oracle curves
+    # are, each x charged as degree 2^8: about a tenth of the cap
+    for l in (1, 2):
+        charge = max(CurveSpec(QuadPair.from_normal(0, 1), 1, l, 1).rhs_degree, _SEARCH_X_DEGREE)
+        assert len(list(_lowest_terms(25))) * charge < _SEARCH_DEGREE_CAP // 10
 
 
 def test_smoothness_flag():

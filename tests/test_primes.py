@@ -1,4 +1,5 @@
-"""Trial division by block gcds against the per-candidate loop it replaced."""
+"""Trial division by block gcds against the per-candidate loop it replaced,
+and the bit-cost charge of Brent rho."""
 
 import itertools
 import math
@@ -13,6 +14,7 @@ from arboreal.primes import (
     BudgetExceeded,
     _BLOCK,
     _Budget,
+    _brent_rho,
     _trial_divide,
     factorize,
     is_probable_prime,
@@ -144,3 +146,86 @@ def test_factorize_splits_a_perfect_square_past_trial_division():
     q = next_prime(p + 1)
     assert (p, q) == (1_000_003, 1_000_033)
     assert factorize((p * q) ** 2) == {p: 2, q: 2}
+
+
+# p * q with p = 16777259, the first prime past 2^24, which rho finds in a few
+# thousand steps, and q the first prime past 2^bits + 12345
+RHO_P = 16_777_259
+
+
+def rho_composite(bits):
+    return RHO_P * next_prime(2**bits + 12345)
+
+
+def rho_spent(n, budget):
+    """What _brent_rho(n) charged: on a split, or when it ran out."""
+    meter = _Budget(budget)
+    try:
+        assert _brent_rho(n, meter) == RHO_P
+    except BudgetExceeded as exc:
+        assert exc.budget == budget
+        return exc.spent
+    return budget - meter.left
+
+
+def test_rho_charges_one_unit_per_step_up_to_181_bits():
+    # the step counts of the unweighted charge: a cofactor of at most 181
+    # bits spends exactly what it spent when every step cost one unit
+    n = rho_composite(156)
+    assert n.bit_length() == 181
+    assert rho_spent(n, 10**6) == 3454  # the steps to split n
+    # out of budget: the same spent as when each block was charged after it ran
+    assert [rho_spent(n, b) for b in (0, 1151, 3453)] == [1, 1534, 3454]
+
+
+def test_rho_charges_w_per_step_above_181_bits():
+    n = rho_composite(337)
+    assert n.bit_length() == 362
+    w = 362**2 >> 14
+    assert w == 7
+    assert rho_spent(n, 10**6) == 13566 * w  # 13566 steps to split n
+    assert [rho_spent(n, b) for b in (0, 4522 * w, 13565 * w)] == [w, 6142 * w, 13566 * w]
+
+
+class Modulus(int):
+    """An odd composite that counts the reductions modulo itself."""
+
+    reductions = 0
+
+    def __rmod__(self, other):
+        Modulus.reductions += 1
+        return other % int(self)
+
+
+class CountingBudget(_Budget):
+    """A meter that logs, at each charge, the reductions done so far."""
+
+    __slots__ = ("log",)
+
+    def __init__(self, budget):
+        super().__init__(budget)
+        self.log = []
+
+    def spend(self, n=1):
+        self.log.append((Modulus.reductions, n))
+        super().spend(n)
+
+
+@pytest.mark.parametrize("bits", [156, 337])
+def test_no_rho_step_runs_before_it_is_charged(bits):
+    # a rho step reduces once or twice modulo n: none runs before the first
+    # charge, and between two charges at most twice the steps the earlier one
+    # paid for, so the charge that overdraws the budget comes before its steps
+    n = rho_composite(bits)
+    w = max(1, n.bit_length() ** 2 >> 14)
+    steps = rho_spent(n, 10**6) // w
+    for budget in (0, w * (steps // 3), w * (steps - 1)):
+        Modulus.reductions = 0
+        meter = CountingBudget(budget)
+        with pytest.raises(BudgetExceeded):
+            _brent_rho(Modulus(n), meter)
+        log = meter.log + [(Modulus.reductions, None)]
+        assert log[0][0] == 0
+        for (before, charge), (after, _) in zip(log, log[1:]):
+            assert charge % w == 0
+            assert after - before <= 2 * charge // w
