@@ -13,7 +13,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import re
 import sys
 from fractions import Fraction
@@ -110,27 +109,6 @@ def _parse_pairs(args) -> List[QuadPair]:
     if not texts:
         raise ValueError("no pairs given")
     return [QuadPair.parse(t) for t in texts]
-
-
-def _setting(flag: Optional[int], env: str, fallback: int) -> int:
-    """The flag's value, else the environment variable's, else the fallback."""
-    if flag is not None:
-        return flag
-    raw = os.environ.get(env)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{env} must be an integer, got {raw!r}") from None
-
-
-def _classifier_settings(args) -> dict:
-    """classify_abelian's keyword settings for classify and survey."""
-    return {
-        "prime_bound": _setting(args.prime_bound, "ARBOREAL_PRIME_BOUND", galois.DEFAULT_PRIME_BOUND),
-        "dim_N": _setting(args.dim_n, "ARBOREAL_DIM_N", galois.DEFAULT_DIM_N),
-    }
 
 
 def rationals_of_height(H: int) -> List[Fraction]:
@@ -234,9 +212,8 @@ def run_survey(
 
 
 def _cmd_classify(args) -> int:
-    settings = _classifier_settings(args)
     pairs = _parse_pairs(args)
-    records = [classify_pair(p, **settings) for p in pairs]
+    records = [classify_pair(p, args.prime_bound, args.dim_n) for p in pairs]
     _emit(records, args.format, ("normal_form.c", "normal_form.beta", "abelian.status"))
     return EXIT_OK
 
@@ -260,7 +237,7 @@ def _survey_json(result: dict) -> str:
 
 
 def _cmd_survey(args) -> int:
-    result = run_survey(args.c_height, args.alpha_height, **_classifier_settings(args))
+    result = run_survey(args.c_height, args.alpha_height, args.prime_bound, args.dim_n)
     if args.format == "json":
         print(_survey_json(result))
     else:
@@ -310,14 +287,13 @@ def _cmd_contain(args) -> int:
 
 
 def _cmd_abdim(args) -> int:
-    factor_budget = _setting(args.factor_budget, "ARBOREAL_FACTOR_BUDGET", DEFAULT_BUDGET)
     pair = QuadPair.parse(args.pair)
     dim = galois.ab_dimension(pair, args.n)
     record = {"pair": pair.describe(), "N": args.n, "dimension": dim}
     try:
         orbit = adjusted_orbit(pair, args.n)
         record["classes"] = [
-            square_class(v, factor_budget).to_vector().to_json()
+            square_class(v, args.factor_budget).to_vector().to_json()
             for v in orbit.adjusted
         ]
     except BudgetExceeded:
@@ -460,14 +436,14 @@ def _cmd_bertrand(args) -> int:
 
 
 def _cmd_tree_verify(args) -> int:
-    seed = _setting(args.seed, "ARBOREAL_SEED", treegroup.DEFAULT_SEED)
     counterexamples, scanned = treegroup.verify_noncommutation(
-        args.depth, sample=args.sample, seed=seed
+        args.depth, sample=args.sample, seed=args.seed
     )
+    exhaustive = args.sample is None and args.depth <= treegroup.EXHAUSTIVE_DEPTH
     record = {
         "depth": args.depth,
         "pairs_scanned": scanned,
-        "mode": "exhaustive" if args.depth <= 3 and args.sample is None else "sampled",
+        "mode": "exhaustive" if exhaustive else "sampled",
         "counterexamples": [
             {"sigma": str(s), "tau": str(t)} for s, t in counterexamples
         ],
@@ -519,11 +495,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="arboreal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # A numeric setting defaults to its ARBOREAL_* variable, read by _setting
-    # in the command, and then to the library's default.
     def classifier_settings(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--prime-bound", type=int)
-        p.add_argument("--dim-n", type=int)
+        p.add_argument(
+            "--prime-bound",
+            type=int,
+            default=galois.DEFAULT_PRIME_BOUND,
+            help="odd primes scanned by the ramification test, at most 10^6 (default %(default)s)",
+        )
+        p.add_argument(
+            "--dim-n",
+            type=int,
+            default=galois.DEFAULT_DIM_N,
+            help="orbit values spanned by the faithful-node certificate (default %(default)s)",
+        )
 
     p = sub.add_parser("classify", help="full classification records")
     p.add_argument("pairs", nargs="*", help="pairs as 'a,b,alpha' or 'c,alpha'")
@@ -557,9 +541,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--factor-budget",
         type=int,
+        default=DEFAULT_BUDGET,
         help="factoring units for the classes display: 1 per trial-division candidate, "
         "max(1, bits^2 >> 14) per rho step on a cofactor of that many bits "
-        f"(default $ARBOREAL_FACTOR_BUDGET, else {DEFAULT_BUDGET})",
+        "(default %(default)s)",
     )
     p.set_defaults(func=_cmd_abdim)
 
@@ -598,7 +583,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tree-verify", help="non-commutation search in the tree group")
     p.add_argument("depth", type=int)
     p.add_argument("--sample", type=int, default=None)
-    p.add_argument("--seed", type=int)
+    p.add_argument(
+        "--seed", type=int, default=treegroup.DEFAULT_SEED, help="seed of a sampled scan (default %(default)s)"
+    )
     p.set_defaults(func=_cmd_tree_verify)
 
     p = sub.add_parser("curve", help="orbit curves: points and search")

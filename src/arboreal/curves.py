@@ -45,7 +45,9 @@ class CurveSpec:
 
     @property
     def rhs_degree(self) -> int:
-        return sum(1 << e for e in self.exponents)
+        # sum of 2^(k*j + i0) over j = 1..l, a geometric series in 2^k
+        k = self.k
+        return ((1 << k * self.l) - 1) // ((1 << k) - 1) << (k + self.i0)
 
     @property
     def genus(self) -> int:

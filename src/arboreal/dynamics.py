@@ -103,10 +103,6 @@ class QuadPair:
                 return cls(*(parse_rational(p) for p in parts))
         raise ValueError(f"expected 'a,b,alpha' or 'c,alpha', got {text!r}")
 
-    @property
-    def critical_point(self) -> Fraction:
-        return self.a
-
     def f(self, x: Rational) -> Fraction:
         x = _frac(x)
         return (x - self.a) ** 2 - self.b

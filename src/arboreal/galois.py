@@ -67,10 +67,6 @@ class GroupId(Enum):
     D8 = "D8"
 
     @property
-    def order(self) -> int:
-        return {"C1": 1, "C2": 2, "V4": 4, "C4": 4, "D8": 8}[self.value]
-
-    @property
     def abelian(self) -> bool:
         return self is not GroupId.D8
 

@@ -56,9 +56,6 @@ class SquareClass:
         return SquareClass(self.sign * other.sign, tuple(sorted(support)))
 
 
-ONE = SquareClass(1, ())
-
-
 def _frac(q: Rational) -> Fraction:
     return q if isinstance(q, Fraction) else Fraction(q)
 
@@ -219,10 +216,6 @@ class QuadElement:
     @property
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
 
     def norm(self) -> Fraction:
         return self.a * self.a - self.d * self.b * self.b

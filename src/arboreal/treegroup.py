@@ -20,6 +20,10 @@ from .indexsets import _support_of
 # has 2^16 - 1 = 65,535 label bits.
 MAX_VERIFY_DEPTH = 16
 
+# Deepest depth verify_noncommutation scans exhaustively when no sample is
+# given: 2^7 portraits at depth 3, 2^15 at depth 4.
+EXHAUSTIVE_DEPTH = 3
+
 # verify_noncommutation's default sample is DEFAULT_SAMPLE_WORK >> depth pairs
 # (a fixed pairs-times-leaves budget): 100,000 at depth 4, 24 at depth 16.
 DEFAULT_SAMPLE_WORK = 100_000 << 4
@@ -76,11 +80,6 @@ class TreeAut:
     @property
     def is_identity(self) -> bool:
         return not any(self.levels)
-
-    def truncate(self, depth: int) -> "TreeAut":
-        if not 1 <= depth <= self.depth:
-            raise ValueError("bad truncation depth")
-        return TreeAut(depth, self.levels[:depth])
 
     def __str__(self) -> str:
         return "[" + ",".join(self.to_strings()) + "]"
@@ -249,23 +248,12 @@ def closure(gens: SubgroupGens, cap: int = 200_000) -> List[TreeAut]:
     return sorted(seen, key=lambda t: t.levels)
 
 
-def first_nontrivial_level(gens: SubgroupGens) -> int:
-    """Smallest k with a nonzero level-k label among the generators (1-based)."""
-    best = None
-    for g in gens.generators:
-        for k, mask in enumerate(g.levels, start=1):
-            if mask:
-                if best is None or k < best:
-                    best = k
-                break
-    if best is None:
-        raise ValueError("trivial subgroup has no level")
-    return best
-
-
 def level(gens: SubgroupGens) -> int:
     """Least n such that the image of the subgroup in depth n+1 is nontrivial."""
-    return first_nontrivial_level(gens) - 1
+    nontrivial = [n for g in gens.generators for n, mask in enumerate(g.levels) if mask]
+    if not nontrivial:
+        raise ValueError("trivial subgroup has no level")
+    return min(nontrivial)
 
 
 def faithful_nodes(gens: SubgroupGens) -> List[str]:
@@ -307,9 +295,9 @@ def verify_noncommutation(
 
     Scans ordered pairs (sigma, tau) with phi_1(tau) = 1 and the class of
     sigma outside {0, class of tau}; any commuting such pair is returned as a
-    counterexample.  Exhaustive for depth <= 3; beyond that (or when `sample`
-    is given) a seeded random sample of pairs is examined, by default
-    DEFAULT_SAMPLE_WORK >> depth of them.  Returns the
+    counterexample.  Exhaustive for depth <= EXHAUSTIVE_DEPTH; beyond that
+    (or when `sample` is given) a seeded random sample of pairs is examined,
+    by default DEFAULT_SAMPLE_WORK >> depth of them.  Returns the
     counterexample list plus the number of ordered pairs scanned.  Raises
     ValueError for a negative sample or a depth outside 1..MAX_VERIFY_DEPTH.
 
@@ -329,7 +317,7 @@ def verify_noncommutation(
         if any(ab_s) and ab_s != [m.bit_count() & 1 for m in t] and _commute(s, t):
             counterexamples.append((TreeAut(depth, s), TreeAut(depth, t)))
 
-    if sample is None and depth <= 3:
+    if sample is None and depth <= EXHAUSTIVE_DEPTH:
         elements = [split(mask) for mask in range(size)]
         taus = elements[1::2]  # the odd portrait masks, where phi_1 = 1
         for sigma in elements:

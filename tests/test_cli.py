@@ -466,25 +466,35 @@ def test_no_pairs_is_input_error(capsys):
     assert main(["classify"]) == 1
 
 
-def test_environment_defaults(monkeypatch, capsys):
-    monkeypatch.setenv("ARBOREAL_DIM_N", "3")
-    code, records = run_json(capsys, "classify", "1,0")
-    assert code == 0
-    assert records[0]["ab_dimension_N"] == 3
+def test_setting_flag_reaches_the_record(capsys):
     code, records = run_json(capsys, "classify", "1,0", "--dim-n", "4")
     assert code == 0
     assert records[0]["ab_dimension_N"] == 4
-
-
-def test_bad_environment_variable_is_input_error(monkeypatch, capsys):
-    monkeypatch.setenv("ARBOREAL_SEED", "abc")
-    assert main(["tree-verify", "3"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("arboreal: input error: ")
-    assert "ARBOREAL_SEED" in captured.err
-    # only tree-verify reads ARBOREAL_SEED
     assert main(["orbit", "-1,0"]) == 0
+
+
+# variables that once set the four numeric settings: output depends on argv alone
+FORMER_SETTING_VARIABLES = ("ARBOREAL_PRIME_BOUND", "ARBOREAL_DIM_N", "ARBOREAL_FACTOR_BUDGET", "ARBOREAL_SEED")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "1,0"],
+        ["survey", "--c-height", "2", "--alpha-height", "2"],
+        ["abdim", "1,0", "-N", "3"],
+        ["tree-verify", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_environment_does_not_change_output(capsys, monkeypatch, argv):
+    for name in FORMER_SETTING_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    clean = run(capsys, *argv)
+    for name in FORMER_SETTING_VARIABLES:
+        monkeypatch.setenv(name, "abc")
+    assert run(capsys, *argv) == clean
+    assert clean[0] == 0
 
 
 @pytest.mark.parametrize(
@@ -806,13 +816,10 @@ def test_result_json_is_pinned(capsys, argv, digest):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
 
 
-def test_negative_factor_budget_is_input_error(capsys, monkeypatch):
+def test_negative_factor_budget_is_input_error(capsys):
     message = "arboreal: input error: factoring budget must be nonnegative, got {}\n"
     assert main(["abdim", "1,0", "-N", "3", "--factor-budget", "-5"]) == 1
     assert capsys.readouterr() == ("", message.format(-5))
-    monkeypatch.setenv("ARBOREAL_FACTOR_BUDGET", "-1")
-    assert main(["abdim", "1,0", "-N", "3"]) == 1
-    assert capsys.readouterr() == ("", message.format(-1))
     # a budget of 0 is spent at once, so only the classes display is dropped
     code, records = run_json(capsys, "abdim", "1,0", "-N", "3", "--factor-budget", "0")
     assert code == 0 and records[0]["classes"] is None and records[0]["dimension"] == 3

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import islice
 
@@ -149,6 +150,26 @@ def test_genus_reporting():
     assert curve.genus >= 2
     small = CurveSpec(QuadPair.from_normal(1, 0), 1, 1, 1)
     assert small.genus == 1  # degree-4 right-hand side
+
+
+def test_rhs_degree_closed_form_matches_the_sum():
+    pair = QuadPair.from_normal(1, 0)
+    for k in range(1, 12):
+        for l in range(1, 12):
+            for i0 in range(1, 6):
+                curve = CurveSpec(pair, k, l, i0)
+                assert curve.rhs_degree == sum(1 << e for e in curve.exponents)
+
+
+def test_genus_of_a_million_factor_curve_is_quick():
+    # the degree is one shift and one division, not 10^6 additions of
+    # integers of up to 3 * 10^6 bits
+    curve = CurveSpec(QuadPair.from_normal(F(1, 3), 2), 3, 10**6, 1)
+    start = time.perf_counter()
+    genus = curve.genus
+    assert time.perf_counter() - start < 0.5
+    # the top exponent is k*l + i0 = 3 * 10^6 + 1, and the genus halves the degree
+    assert genus.bit_length() == 3 * 10**6 + 1
 
 
 def test_construct_point_presence_iff_square_product():
