@@ -128,28 +128,9 @@ def _grid(H: int) -> List[Tuple[int, int, str]]:
 
 
 # Most (c, alpha) pairs one survey classifies: 30/30 has 1,234,321 pairs and
-# takes about 2.5 s and 0.7 GB, since every row is held for the JSON record.
+# peaks at 122 MB RSS, a tuple per row, each row written as it is formatted.
+# The cap bounds time too: 50/50 (9,579,025 pairs) took 18 s before it.
 _SURVEY_PAIR_CAP = 1_250_000
-
-
-def _grid_size(H: int) -> int:
-    """len(rationals_of_height(H)) without building the grid: 0, and +-p/q
-    for each of the 2*Phi(H) - 1 coprime (p, q) in [1, H]^2, where
-    Phi(n) = phi(1) + ... + phi(n) is read off sum_{d<=n} Phi(n // d) =
-    n(n+1)/2 over the distinct quotients n // d."""
-    memo = {}
-
-    def phi_sum(n: int) -> int:
-        if n not in memo:
-            total, d = n * (n + 1) // 2, 2
-            while d <= n:
-                top = n // (n // d)  # the last d' with the same quotient
-                total -= (top - d + 1) * phi_sum(n // d)
-                d = top + 1
-            memo[n] = total
-        return memo[n]
-
-    return 4 * phi_sum(H) - 1 if H else 1
 
 
 def _check_survey_size(c_height: int, alpha_height: int) -> None:
@@ -162,7 +143,7 @@ def _check_survey_size(c_height: int, alpha_height: int) -> None:
             raise ValueError(f"height must be nonnegative, got {H}")
     if (
         math.prod(2 * H + 1 for H in heights) > _SURVEY_PAIR_CAP
-        or math.prod(map(_grid_size, heights)) > _SURVEY_PAIR_CAP
+        or math.prod(map(curves_mod._grid_size, heights)) > _SURVEY_PAIR_CAP
     ):
         raise ValueError(
             f"need at most {_SURVEY_PAIR_CAP} survey pairs, "
@@ -180,8 +161,9 @@ def run_survey(
 
     The level-2 D8 test decides most pairs on the integers
     galois._level2_classes reads off c = a/b and alpha = r/s.  Only the
-    other pairs reach classify_abelian.  A grid of more than
-    _SURVEY_PAIR_CAP pairs is a ValueError.
+    other pairs reach classify_abelian.  Each row is a (c, alpha, status,
+    provenance) tuple of strings.  A grid of more than _SURVEY_PAIR_CAP pairs
+    is a ValueError.
     """
     _check_survey_size(c_height, alpha_height)
     alphas = _grid(alpha_height)
@@ -189,7 +171,7 @@ def run_survey(
     galois._check_settings(prime_bound, dim_N)
     abelian: List[dict] = []
     counts = {"abelian": 0, "nonabelian": 0, "not_applicable": 0}
-    rows: List[dict] = []
+    rows: List[Tuple[str, str, str, str]] = []
     for a, b, c_text in cs:
         for r, s, alpha_text in alphas:
             q1, q2 = galois._level2_classes(a, b, r, s)
@@ -202,7 +184,7 @@ def run_survey(
                 if status == "abelian":
                     abelian.append({"c": c_text, "alpha": alpha_text, "tag": verdict.tag})
             counts[status] += 1
-            rows.append({"c": c_text, "alpha": alpha_text, "status": status, "provenance": provenance})
+            rows.append((c_text, alpha_text, status, provenance))
     return {
         "grid": {"c_height": c_height, "alpha_height": alpha_height},
         "counts": counts,
@@ -224,33 +206,25 @@ _ROW_JSON = (
 )
 
 
-def _survey_json(result: dict) -> str:
-    """json.dumps(result, indent=2, sort_keys=True), writing the rows, which
-    sort last, from one template."""
-    head = json.dumps(dict(result, rows=[]), indent=2, sort_keys=True)
-    esc = encode_basestring_ascii
-    rows = ",\n".join(
-        _ROW_JSON % (esc(r["alpha"]), esc(r["c"]), esc(r["provenance"]), esc(r["status"]))
-        for r in result["rows"]
-    )
-    return head[: -len("[]\n}")] + "[\n" + rows + "\n  ]\n}"
-
-
 def _cmd_survey(args) -> int:
+    """Write the survey row by row, so no string holds every row: the JSON is
+    json.dumps(result, indent=2, sort_keys=True), with the rows, which sort
+    last, written from _ROW_JSON."""
     result = run_survey(args.c_height, args.alpha_height, args.prime_bound, args.dim_n)
+    write = sys.stdout.write
     if args.format == "json":
-        print(_survey_json(result))
+        head = json.dumps(dict(result, rows=[]), indent=2, sort_keys=True)
+        write(head[: -len("]\n}")])
+        esc, sep = encode_basestring_ascii, "\n"
+        for c, alpha, status, provenance in result["rows"]:
+            write(sep + _ROW_JSON % (esc(alpha), esc(c), esc(provenance), esc(status)))
+            sep = ",\n"
+        write("\n  ]\n}\n")
     else:
-        for row in result["rows"]:
-            print("\t".join([row["c"], row["alpha"], row["status"]]))
-        print(
-            "summary: abelian=%d nonabelian=%d not_applicable=%d"
-            % (
-                result["counts"]["abelian"],
-                result["counts"]["nonabelian"],
-                result["counts"]["not_applicable"],
-            )
-        )
+        for c, alpha, status, _ in result["rows"]:
+            write(f"{c}\t{alpha}\t{status}\n")
+        counts = "abelian=%(abelian)d nonabelian=%(nonabelian)d not_applicable=%(not_applicable)d"
+        write("summary: " + counts % result["counts"] + "\n")
     return EXIT_OK
 
 

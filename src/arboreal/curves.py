@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Iterator, List, Optional, Tuple
 
 from .dynamics import QuadPair, _check_depth, _first_hit, _in_critical_orbit, _orbit_prefix, _support_square
@@ -154,6 +153,31 @@ def _lowest_terms(H: int) -> Iterator[Tuple[int, int]]:
                 yield p, q
 
 
+def _grid_size(H: int) -> int:
+    """How many (p, q) _lowest_terms(H) yields, without enumerating them: 0/1,
+    and +-p/q for each of the 2*Phi(H) - 1 coprime (p, q) in [1, H]^2, where
+    Phi(n) = phi(1) + ... + phi(n) is read off sum_{d<=n} Phi(n // d) =
+    n(n+1)/2 over the distinct quotients n // d.
+
+    At H = 0 the count is 1, the grid {0} of cli.rationals_of_height(0),
+    while _lowest_terms(0) is empty; every point-search cap allows at least
+    4 values of x, so no search tells the two apart.
+    """
+    memo = {}
+
+    def phi_sum(n: int) -> int:
+        if n not in memo:
+            total, d = n * (n + 1) // 2, 2
+            while d <= n:
+                top = n // (n // d)  # the last d' with the same quotient
+                total -= (top - d + 1) * phi_sum(n // d)
+                d = top + 1
+            memo[n] = total
+        return memo[n]
+
+    return 4 * phi_sum(H) - 1 if H else 1
+
+
 def naive_point_search(curve: CurveSpec, H: int) -> List[Tuple[Fraction, Fraction]]:
     """All rational points with x = p/q in lowest terms, |p| <= H, q <= H.
 
@@ -170,7 +194,8 @@ def naive_point_search(curve: CurveSpec, H: int) -> List[Tuple[Fraction, Fractio
     degree = curve.rhs_degree
     charge = max(degree, _SEARCH_X_DEGREE)
     limit = _SEARCH_DEGREE_CAP // charge  # the most x the cap allows
-    if sum(1 for _ in islice(_lowest_terms(H), limit + 1)) > limit:
+    # the 2H + 1 integers -H..H reject a huge H before the exact count
+    if 2 * H + 1 > limit or _grid_size(H) > limit:
         floor = f", each charged as degree {charge}" if charge > degree else ""
         raise BudgetExceeded(
             f"point search capped at a total right-hand-side degree of {_SEARCH_DEGREE_CAP} "

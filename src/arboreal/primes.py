@@ -144,7 +144,7 @@ def _brent_rho(n: int, budget: _Budget) -> int:
                 budget.spend(steps * w)
                 for _ in range(steps):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += m
             r *= 2
@@ -153,7 +153,7 @@ def _brent_rho(n: int, budget: _Budget) -> int:
             while g == 1:
                 budget.spend(w)
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
     raise budget.exceeded("rho failed to split %d" % n)

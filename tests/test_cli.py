@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -6,13 +7,15 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
 import arboreal
 import arboreal.curves
 import arboreal.galois
-from arboreal.cli import _SURVEY_PAIR_CAP, _grid_size, build_parser, main, rationals_of_height
+from arboreal.cli import _SURVEY_PAIR_CAP, build_parser, main, rationals_of_height
+from arboreal.curves import _grid_size, _lowest_terms
 from arboreal.dynamics import MAX_ORBIT_N, QuadPair, adjusted_orbit
 from arboreal.primes import primes_from
 
@@ -757,6 +760,8 @@ def test_survey_grid_is_capped_before_it_is_built(capsys):
 
 def test_survey_pair_count_is_exact():
     assert [_grid_size(H) for H in range(60)] == [len(rationals_of_height(H)) for H in range(60)]
+    # the point search counts the same set; _lowest_terms(0) is empty, the grid is {0}
+    assert [_grid_size(H) for H in range(1, 60)] == [len(list(_lowest_terms(H))) for H in range(1, 60)]
     # 30/30 has 1,234,321 pairs, within the cap; 31/31 has 1,515,361
     assert _grid_size(30) ** 2 <= _SURVEY_PAIR_CAP < _grid_size(31) ** 2
 
@@ -771,6 +776,38 @@ def test_low_degree_curve_search_is_capped(capsys):
         "error": "point search capped at a total right-hand-side degree of 2097152 over the "
         "searched x: height 650 has more than 8192 values of x at degree 4, each charged as degree 256"
     }
+    # a height whose exact count would take long is rejected on its integers alone
+    start = time.perf_counter()
+    code, out = run(capsys, "curve", "1/3,2", "--k", "1", "--search", str(10**12))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and "height 1000000000000 has more than 8192 values of x" in out
+
+
+class _DigestSink:
+    """A stdout that keeps only the byte count and sha256 of what it is sent."""
+
+    def __init__(self):
+        self.size, self.digest = 0, hashlib.sha256()
+
+    def write(self, text):
+        data = text.encode()
+        self.size += len(data)
+        self.digest.update(data)
+        return len(text)
+
+
+def test_survey_writes_rows_without_holding_the_output():
+    sink = _DigestSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(["survey", "--c-height", "9", "--alpha-height", "9"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, sink.digest.hexdigest()) == (0, "8230c01b6ba7bcc9e882c51b8c6c8e6312fd911a9e41b1f356b87cee2c29199d")
+    # each row is held once, as a tuple; one string of every row would be 1x alone
+    assert peak < 2 * sink.size
 
 
 # exit code and sha256 of stdout for records rendered from library results:
@@ -806,6 +843,16 @@ RESULT_PINS = [
         ["indexset", "--family", "{1,2};{2,3};{3,5,7}", "--coprime", "1"],
         "3c3c1a5fec430bd73d0d2ed72f9b046689a07960defa8d4cc64d8cfeeb3806e9",
         id="indexset-coprime",
+    ),
+    pytest.param(
+        ["survey", "--c-height", "12", "--alpha-height", "12"],
+        "321e64c07b477b8dc7d8ff5ca9d739d6c3f1708b53e33324d73f82f0b9e24ff6",
+        id="survey",
+    ),
+    pytest.param(
+        ["survey", "--c-height", "12", "--alpha-height", "12", "--format", "table"],
+        "a5c069018687cf05f06c7fa9961c9d02d4e21b61aaaa2bbe8a5deb5d382351e1",
+        id="survey-table",
     ),
 ]
 

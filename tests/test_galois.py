@@ -613,11 +613,11 @@ def test_survey_rows_match_the_classifier():
     abelian = []
     for row, (c, alpha) in zip(result["rows"], ((c, alpha) for c in grid for alpha in grid)):
         verdict = classify_abelian(QuadPair.from_normal(c, alpha))
-        assert row == {"c": str(c), "alpha": str(alpha), "status": verdict.status, "provenance": verdict.provenance}
+        assert row == (str(c), str(alpha), verdict.status, verdict.provenance)
         if verdict.status == "abelian":
             abelian.append({"c": str(c), "alpha": str(alpha), "tag": verdict.tag})
     assert result["abelian_pairs"] == abelian
-    statuses = Counter(row["status"] for row in result["rows"])
+    statuses = Counter(status for _, _, status, _ in result["rows"])
     assert result["counts"] == {k: statuses[k] for k in ("abelian", "nonabelian", "not_applicable")}
 
 
