@@ -30,7 +30,6 @@ from .dynamics import (
     _as_json,
     _check_depth,
     _in_critical_orbit,
-    _support_square,
     _valuation,
     adjusted_orbit,
     in_post_critical_orbit,
@@ -39,11 +38,12 @@ from .dynamics import (
     iterate,
 )
 from .indexsets import _support_of
-from .primes import is_probable_prime, primes_from, sieve
+from .primes import is_probable_prime, odd_primes, primes_from
 from .squares import (
     QuadElement,
     _is_square_in_quad_int,
     is_square_int,
+    is_square_product,
     quad_independent,
     span_dimension,
     sqrt_exact,
@@ -75,10 +75,11 @@ def contained_in_Mv(pair: QuadPair, v) -> bool:
     """Whether the arboreal image lies in the maximal subgroup named by v.
 
     Equivalent to the product of the adjusted-orbit values over the support
-    of v being a rational square.  The empty support names the full group and
-    returns True for any pair; otherwise the basepoint must avoid the
-    post-critical orbit, and a support index above MAX_ORBIT_N is a
-    ValueError, whatever the pair.
+    of v being a rational square, which is_square_product decides by
+    quadratic characters before any exact test.  The empty support names the
+    full group and returns True for any pair; otherwise the basepoint must
+    avoid the post-critical orbit, and a support index above MAX_ORBIT_N is
+    a ValueError, whatever the pair.
     """
     support = _support_of(v)
     if not support:
@@ -88,7 +89,9 @@ def contained_in_Mv(pair: QuadPair, v) -> bool:
     _check_depth(support[-1], "support indices")
     if in_post_critical_orbit(pair):
         raise DegeneracyError("basepoint lies in the post-critical orbit")
-    return _support_square(pair, support)[1] is not None
+    orbit = adjusted_orbit(pair, support[-1])
+    orbit.require_nondegenerate()
+    return is_square_product([orbit.adjusted[i - 1] for i in support])
 
 
 def ab_dimension(pair: QuadPair, N: int) -> int:
@@ -372,11 +375,6 @@ def poonen_check(c: Rational, alpha: Rational, p: int) -> PoonenResult:
     return PoonenResult(condition, p, details)
 
 
-@lru_cache(maxsize=8)
-def _sieved_odd_primes(bound: int) -> Tuple[int, ...]:
-    return tuple(sieve(bound)[1:])
-
-
 def nonabelian_prime_search(
     pair: QuadPair, bound: int = DEFAULT_PRIME_BOUND
 ) -> Optional[Tuple[int, str, Fraction]]:
@@ -404,7 +402,7 @@ def nonabelian_prime_search(
         raise ValueError(f"need prime_bound <= {MAX_PRIME_BOUND}, got {bound}")
     points = [(bp, bp.numerator, bp.denominator) for bp in basepoints if _in_critical_orbit(c, bp) is None]
     c_num, c_den = c.numerator, c.denominator
-    for p in _sieved_odd_primes(bound):
+    for p in odd_primes(bound):
         c_mod = polys.reduce_mod(c_num, c_den, p)
         if c_mod is None:  # v_p(c) < 0
             continue

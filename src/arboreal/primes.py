@@ -62,6 +62,12 @@ def sieve(limit: int) -> List[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
+@lru_cache(maxsize=8)
+def odd_primes(bound: int) -> Tuple[int, ...]:
+    """The odd primes <= bound, sieved on the first call for each bound."""
+    return tuple(sieve(bound)[1:])
+
+
 def primes_from(start: int) -> Iterator[int]:
     """Primes >= start in increasing order."""
     n = max(2, start)

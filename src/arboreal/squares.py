@@ -1,13 +1,19 @@
 """Square classes of rationals, coprime bases, and squares in Q(sqrt(d)).
 
 The image of a nonzero rational in Q*/Q*^2 is recorded as a sign together
-with the square-free prime support.  Span dimensions are decided through a
-gcd-free (pairwise coprime) basis alone, which never factors: distinct basis
-elements are coprime, so their square classes are independent.  Prime
-factorization (square_class) runs only where the output is itself a
-factorization, the square-class display; no decision calls it.  Squareness
-in a quadratic field Q(sqrt(d)), for any integer d that is not a square,
-reduces to rational square tests on the norm.
+with the square-free prime support.  Span dimensions are decided by
+quadratic characters, which never factor: the sign and the Legendre symbol
+at an odd prime q dividing no value are homomorphisms from the span to F_2,
+so their common kernel holds every relation (a subset whose product is a
+square), and once an exact square test passes on each vector of a basis of
+that kernel, the two are equal (L. M. Adleman, "Factoring numbers using
+singular integers", STOC 1991).  A gcd-free (pairwise coprime) basis, which
+never factors either, is the fallback when the fixed list of primes runs
+out, and the test oracle.  Prime factorization (square_class) runs only
+where the output is itself a factorization, the square-class display; no
+decision calls it.  Squareness in a quadratic field Q(sqrt(d)), for any
+integer d that is not a square, reduces to rational square tests on the
+norm.
 """
 
 from __future__ import annotations
@@ -16,12 +22,16 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from functools import lru_cache
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .f2 import SIGN, F2Vector, base_label, prime_label, rank
-from .primes import DEFAULT_BUDGET, factorize
+from .primes import DEFAULT_BUDGET, factorize, odd_primes
 
 Rational = Union[int, Fraction]
+
+_CHARACTER_BOUND = 256  # quadratic characters come from the odd primes below it
+_STALL = 3  # characters in a row that leave the kernel unchanged before it is tested exactly
 
 
 class DegenerateSquareWarning(UserWarning):
@@ -180,16 +190,86 @@ def coprime_base(values: Sequence[int]) -> Tuple[List[int], List[F2Vector]]:
     return base, vectors
 
 
-def span_dimension(values: Sequence[Rational]) -> int:
-    """dim of the span of the (nonzero) values in Q*/Q*^2.
+@lru_cache(maxsize=1)
+def _characters() -> Tuple[Tuple[int, ...], int]:
+    """The odd primes below _CHARACTER_BOUND and their product, modulo which
+    a value is reduced once for all of them."""
+    qs = odd_primes(_CHARACTER_BOUND)
+    return qs, math.prod(qs)
 
-    Reads the rank off a gcd-free basis of numerator*denominator of each
-    value and never factors: basis elements are pairwise coprime, so the
-    non-square ones have independent square classes.
+
+def _residue(factors: Iterable[int]) -> int:
+    """The product of the integers factors modulo the primes' product, formed
+    from their residues, so the product itself is never built."""
+    _, modulus = _characters()
+    return math.prod(f % modulus for f in factors) % modulus
+
+
+def _character_masks(residues: Sequence[int]) -> Iterator[int]:
+    """For each odd prime q of the list that divides none of the values given
+    by their residues, the bitmask of the values whose Legendre symbol at q
+    is -1."""
+    for q in _characters()[0]:
+        rs = [r % q for r in residues]
+        if 0 not in rs:
+            yield sum(1 << i for i, r in enumerate(rs) if pow(r, q >> 1, q) != 1)
+
+
+def is_square_product(values: Sequence[Rational]) -> bool:
+    """Whether the product of the nonzero rationals values is a square.
+
+    It is exactly when the product of their numerators and denominators is a
+    square integer.  The sign and the quadratic characters of that product
+    are read off the signs and residues of its factors first, and the product
+    is formed and its integer square root taken only when every character is
+    +1.
+    """
+    ms = [m for v in map(_frac, values) for m in (v.numerator, v.denominator)]
+    if sum(m < 0 for m in ms) % 2 or any(_character_masks([_residue(ms)])):
+        return False
+    return is_square_int(math.prod(ms))
+
+
+def _restrict(kernel: List[int], mask: int) -> List[int]:
+    """The part of the span of the independent bitmasks kernel on which the
+    character with bitmask mask is +1, as independent bitmasks: one pivot
+    elimination, which drops at most one vector."""
+    hit = [b for b in kernel if (b & mask).bit_count() & 1]
+    if not hit:
+        return kernel
+    return [b for b in kernel if not (b & mask).bit_count() & 1] + [b ^ hit[0] for b in hit[1:]]
+
+
+def span_dimension(values: Sequence[Rational]) -> int:
+    """dim of the span of the (nonzero) values in Q*/Q*^2, without factoring.
+
+    Each value has the square class of m = numerator*denominator.  The
+    relations among the values (the subsets whose product of m is a square)
+    lie in the kernel of every quadratic character: the sign, and the
+    Legendre symbol at each odd prime below _CHARACTER_BOUND that divides no
+    m.  Starting from all subsets, the kernel is restricted by one character
+    at a time.  Once it is empty, or has stayed as it was for _STALL primes
+    in a row and each of its basis vectors passes is_square_product, it is
+    exactly the space of relations, and the dimension is len(values) minus
+    its dimension.  Only when the primes run out is the rank read off a
+    gcd-free basis (coprime_base).
     """
     fracs = [_frac(v) for v in values]
-    _, vectors = coprime_base([v.numerator * v.denominator for v in fracs])
-    return rank(vectors)
+    if 0 in fracs:
+        raise ValueError("values must be nonzero")
+    n = len(fracs)
+    kernel = _restrict([1 << i for i in range(n)], sum(1 << i for i, v in enumerate(fracs) if v < 0))
+    unchanged = 0
+    for mask in _character_masks([_residue((v.numerator, v.denominator)) for v in fracs]):
+        size = len(kernel)
+        kernel = _restrict(kernel, mask)
+        unchanged = unchanged + 1 if len(kernel) == size else 0
+        if not kernel or (
+            unchanged == _STALL
+            and all(is_square_product([v for i, v in enumerate(fracs) if b >> i & 1]) for b in kernel)
+        ):
+            return n - len(kernel)
+    return rank(coprime_base([v.numerator * v.denominator for v in fracs])[1])
 
 
 @dataclass(frozen=True)

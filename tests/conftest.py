@@ -17,9 +17,10 @@ settings.load_profile("repro")
 
 
 def factor_span_dimension(values):
-    """The factor route to a span dimension in Q*/Q*^2, kept as the test
-    oracle for span_dimension's gcd-free route: the rank of the square
-    classes, which raises BudgetExceeded when factoring runs out."""
+    """The factor route to a span dimension in Q*/Q*^2, kept as a test
+    oracle for span_dimension's quadratic-character route (coprime_base's
+    gcd-free basis is the other): the rank of the square classes, which
+    raises BudgetExceeded when factoring runs out."""
     return rank([square_class(v).to_vector() for v in values])
 
 

@@ -30,7 +30,6 @@ from arboreal.galois import (
     _independent_classes,
     _level2_classes,
     _quad_field_search,
-    _sieved_odd_primes,
     _zero_cycle,
     ab_dimension,
     classify_abelian,
@@ -43,7 +42,7 @@ from arboreal.galois import (
     poonen_check,
     replay_certificate,
 )
-from arboreal.primes import primes_from, sieve
+from arboreal.primes import odd_primes, primes_from, sieve
 from arboreal.squares import (
     QuadElement,
     _is_square_in_quad_int,
@@ -115,6 +114,27 @@ def test_contained_v1_iff_reducible():
         q = beta - c
         reducible = q > 0 and square_class(q).is_trivial
         assert contained_in_Mv(pair, {1}) == reducible
+
+
+def test_contained_matches_the_fraction_product_route():
+    # the character pre-check and one integer square test on the product of
+    # num*den, against the product of the adjusted values as a Fraction, on
+    # every nonempty support inside {1..6}
+    grid = rationals_of_height(4)
+    supports = [[i for i in range(1, 7) if mask >> (i - 1) & 1] for mask in range(1, 64)]
+    contained = Counter()
+    for c in grid:
+        for beta in grid:
+            pair = QuadPair.from_normal(c, beta)
+            values = adjusted_orbit(pair, 6).adjusted
+            if in_post_critical_orbit(pair) or 0 in values:
+                continue
+            for support in supports:
+                product = math.prod((values[i - 1] for i in support), start=F(1))
+                expected = sqrt_exact(product) is not None
+                assert contained_in_Mv(pair, support) == expected, (c, beta, support)
+                contained[expected] += 1
+    assert contained[True] >= 100 and contained[False] >= 10000
 
 
 def test_ab_dimension_examples():
@@ -454,10 +474,9 @@ def test_poonen_details_match_reference_loop():
 def test_exact_orbit_basepoint_never_fires():
     # nonabelian_prime_search drops a basepoint on the exact orbit of 0
     # before its scan; the scan only visits primes with v_p(c) >= 0
-    odd_primes = sieve(100)[1:]
     for c in rationals_of_height(6):
         for n, z in enumerate(islice(iterate(c, F(0)), 4), start=1):
-            for p in odd_primes:
+            for p in odd_primes(100):
                 if c.denominator % p:
                     assert poonen_check(c, z, p).condition is None, (c, n, p)
 
@@ -470,18 +489,18 @@ def test_zero_cycle_cache_is_bounded():
 
 
 def test_prime_scan_is_sieved_and_capped(monkeypatch, capsys):
-    assert _sieved_odd_primes(2) == () and _sieved_odd_primes(-5) == ()
+    assert odd_primes(2) == () and odd_primes(-5) == ()
     assert nonabelian_prime_search(QuadPair.from_normal(-1, 2), 2) is None
     top = MAX_PRIME_BOUND - 2000
     expected = list(takewhile(lambda p: p <= MAX_PRIME_BOUND, primes_from(top)))
-    sieved = _sieved_odd_primes(MAX_PRIME_BOUND)
+    sieved = odd_primes(MAX_PRIME_BOUND)
     assert len(sieved) == 78497  # pi(10^6) = 78498, less the prime 2
     assert [p for p in sieved if p >= top] == expected
 
     def refuse(limit):
         raise AssertionError("no sieve is built past the cap")
 
-    monkeypatch.setattr("arboreal.galois.sieve", refuse)
+    monkeypatch.setattr("arboreal.primes.sieve", refuse)
     over = MAX_PRIME_BOUND + 1
     with pytest.raises(ValueError, match=str(MAX_PRIME_BOUND)):
         nonabelian_prime_search(QuadPair.from_normal(0, -4), over)
@@ -578,6 +597,19 @@ def test_classifier_decides_without_the_gcd_free_basis(monkeypatch):
     faithful = [v.certificate for v in verdicts if v.provenance == "level0-faithful-dimension"]
     assert len(faithful) >= 10
     assert all(replay_certificate(cert) for cert in faithful)
+
+
+def test_large_height_classify_record_needs_no_gcd_free_basis(monkeypatch, capsys):
+    # c = 10^200 + 7: its orbit values reach about 400,000 digits by c_12,
+    # where a gcd-free basis took about 10 s; the quadratic characters give
+    # the same record
+    def refuse(*args):
+        raise AssertionError("the span dimension must not build a gcd-free basis")
+
+    monkeypatch.setattr("arboreal.squares.coprime_base", refuse)
+    assert main(["classify", f"{10**200 + 7},3"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "18186e6f543c6213ac10cb87adb0447edd33b47d4dcb103119e28bb0d621fb07"
 
 
 def test_classify_output_is_pinned(capsys):

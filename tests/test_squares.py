@@ -1,23 +1,31 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from conftest import factor_span_dimension
 from hypothesis import assume, given, strategies as st
 
+from arboreal import squares
+from arboreal.cli import rationals_of_height
 from arboreal.dynamics import QuadPair, adjusted_orbit
-from arboreal.f2 import SIGN, base_label
+from arboreal.f2 import SIGN, base_label, rank
 from arboreal.primes import BudgetExceeded, factorize, primes_from, smallest_prime_factor
 from arboreal.squares import (
     DegenerateSquareWarning,
     QuadElement,
     SquareClass,
+    _characters,
     _is_square_in_quad_int,
     all_valuations_even,
     coprime_base,
     is_perfect_square,
     is_square_in_quad,
+    is_square_int,
+    is_square_product,
     quad_independent,
     span_dimension,
     sqrt_exact,
@@ -156,7 +164,8 @@ def test_span_dimension_examples():
     assert span_dimension([2, 2, 2, 2]) == 1
     assert span_dimension([2, -1]) == 2
     assert span_dimension([-1, 2, 5, 26, 677, 458330]) == 6
-    with pytest.raises(ValueError):
+    assert span_dimension([]) == 0
+    with pytest.raises(ValueError, match="values must be nonzero"):
         span_dimension([2, Fraction(0)])
 
 
@@ -177,6 +186,73 @@ def test_span_dimension_budget_fallback():
     with pytest.raises(BudgetExceeded):
         square_class(p * q, budget=10)
     assert span_dimension([p * q, q]) == 2
+
+
+def count_gcd_free_bases(monkeypatch):
+    """Make span_dimension record each fallback to coprime_base; the
+    returned list grows by one per call."""
+    calls = []
+
+    def counted(values):
+        calls.append(values)
+        return coprime_base(values)
+
+    monkeypatch.setattr(squares, "coprime_base", counted)
+    return calls
+
+
+@pytest.mark.parametrize("height, n", [(9, 6), (5, 12)])
+def test_character_rank_matches_the_gcd_free_basis_on_orbit_grids(monkeypatch, height, n):
+    # every nondegenerate normal-form pair of the grid, rank-deficient ones
+    # included; the characters and the exact kernel test decide all of them
+    grid = rationals_of_height(height)
+    orbits = [adjusted_orbit(QuadPair.from_normal(c, alpha), n) for c in grid for alpha in grid]
+    spans = [o.adjusted for o in orbits if o.degeneracy_index is None]
+    calls = count_gcd_free_bases(monkeypatch)
+    dims = [span_dimension(values) for values in spans]
+    assert calls == []
+    expected = [rank(coprime_base([v.numerator * v.denominator for v in values])[1]) for values in spans]
+    assert dims == expected
+    assert sum(d < n for d in dims) >= 300
+
+
+def test_pseudo_square_falls_back_to_the_gcd_free_basis_once(monkeypatch):
+    # 1 + 8 * (the odd primes below 2^8) is 1 modulo each of them, so every
+    # character is +1 on it, but it is not a square: the exact test rejects
+    # the kernel, and only coprime_base can give the rank
+    qs, _ = _characters()
+    m = 1 + 8 * math.prod(qs)
+    assert math.isqrt(m) ** 2 != m and not is_square_product([m])
+    calls = count_gcd_free_bases(monkeypatch)
+    assert span_dimension([m]) == 1
+    assert len(calls) == 1
+    assert span_dimension([m, m * 4]) == 1 and span_dimension([m, -m, 3]) == 3
+    assert len(calls) == 3
+
+
+def test_square_product_matches_the_formed_product():
+    rng = random.Random(5)
+    for _ in range(2000):
+        ms = [rng.choice([-1, 1]) * rng.randint(1, 60) for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.5:  # make the product a square up to sign
+            ms.append(math.prod(ms))
+        assert is_square_product(ms) == is_square_int(math.prod(ms)), ms
+    assert is_square_product([10**200 + 7, 3 * (10**200 + 7), 3])
+    assert not is_square_product([10**200 + 7, 3 * (10**200 + 7), -3])
+    assert is_square_product([Fraction(-3, 10**200 + 7), Fraction(-(10**200 + 7), 12)])
+    assert not is_square_product([Fraction(3, 10**200 + 7), Fraction(10**200 + 7, 6)])
+
+
+def test_character_tables_are_not_built_at_import():
+    code = (
+        "import arboreal, arboreal.cli\n"
+        "from arboreal.primes import odd_primes\n"
+        "from arboreal.squares import _characters\n"
+        "print(odd_primes.cache_info().currsize, _characters.cache_info().currsize)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(squares.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["0", "0"]
 
 
 def test_all_valuations_even():
