@@ -5,7 +5,9 @@ square test on a product of adjusted-orbit values), the dimension of the
 orbit span modulo squares, the exact level-2 splitting-field group, a
 Frobenius cycle-type sampler used only as a cross-validation oracle, a local
 infinite-ramification test at odd primes, and the abelian-pair classifier
-with replayable certificates.
+with replayable certificates.  Containment and the span dimension read
+the square classes of the adjusted orbit off an integer walk
+(_orbit_classes), and build no orbit value.
 
 The sampler reads good reduction off the adjusted orbit: an odd prime p is
 good for f^n(x) - beta exactly when c_{1,beta}, ..., c_{n,beta} are p-adic
@@ -20,7 +22,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import polys
 from .dynamics import (
@@ -42,8 +44,9 @@ from .primes import is_probable_prime, odd_primes, primes_from
 from .squares import (
     QuadElement,
     _is_square_in_quad_int,
+    _span_rank,
+    _square_product,
     is_square_int,
-    is_square_product,
     quad_independent,
     span_dimension,
     sqrt_exact,
@@ -75,11 +78,12 @@ def contained_in_Mv(pair: QuadPair, v) -> bool:
     """Whether the arboreal image lies in the maximal subgroup named by v.
 
     Equivalent to the product of the adjusted-orbit values over the support
-    of v being a rational square, which is_square_product decides by
-    quadratic characters before any exact test.  The empty support names the
-    full group and returns True for any pair; otherwise the basepoint must
-    avoid the post-critical orbit, and a support index above MAX_ORBIT_N is
-    a ValueError, whatever the pair.
+    of v being a rational square, that is the product of their classes
+    from _orbit_classes, which squares._square_product decides by quadratic
+    characters before any exact test.  The empty support names the full
+    group and returns True for any pair; otherwise the basepoint must avoid
+    the post-critical orbit, and a support index above MAX_ORBIT_N is a
+    ValueError, whatever the pair.
     """
     support = _support_of(v)
     if not support:
@@ -89,26 +93,62 @@ def contained_in_Mv(pair: QuadPair, v) -> bool:
     _check_depth(support[-1], "support indices")
     if in_post_critical_orbit(pair):
         raise DegeneracyError("basepoint lies in the post-critical orbit")
-    orbit = adjusted_orbit(pair, support[-1])
-    orbit.require_nondegenerate()
-    return is_square_product([orbit.adjusted[i - 1] for i in support])
+    ms = list(islice(_orbit_classes(*_terms(pair)), support[-1]))
+    return _square_product([ms[i - 1] for i in support])
 
 
 def ab_dimension(pair: QuadPair, N: int) -> int:
-    """dim of the span of the first N adjusted-orbit values modulo squares."""
-    orbit = adjusted_orbit(pair, N)
-    orbit.require_nondegenerate()
-    return span_dimension(orbit.adjusted)
+    """dim of the span of the first N adjusted-orbit values modulo squares,
+    read off their classes from _orbit_classes: no orbit value is built.
+    N < 1 or N > MAX_ORBIT_N is a ValueError, and a vanishing value a
+    DegeneracyError."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    _check_depth(N, "N")
+    ms = []
+    for m in islice(_orbit_classes(*_terms(pair)), N):
+        if m == 0:
+            raise DegeneracyError(f"c_{len(ms) + 1} equals the basepoint shift (vanishing value)")
+        ms.append(m)
+    return _span_rank(ms)
 
 
 # --- exact level-2 group ----------------------------------------------------
 
 
+def _terms(pair: QuadPair) -> Tuple[int, int, int, int]:
+    """(a, b, r, s) with c = a/b and beta = r/s, the normal form in lowest
+    terms, b and s positive."""
+    c, beta = pair.normal_form()
+    return c.numerator, c.denominator, beta.numerator, beta.denominator
+
+
 def _level2_classes(a: int, b: int, r: int, s: int) -> Tuple[int, int]:
     """(q1, q2) = ((rb - as)sb, (a^2 s + abs - rb^2)s) for c = a/b, beta = r/s:
     in the square classes of c_1 = beta - c = (rb - as)/(sb) and c_2 = c^2 +
-    c - beta = (a^2 s + abs - rb^2)/(b^2 s), and 0 exactly when they are."""
+    c - beta = (a^2 s + abs - rb^2)/(b^2 s), and 0 exactly when they are.
+    The first two items of _orbit_classes, without a generator."""
     return (r * b - a * s) * s * b, (a * a * s + a * b * s - r * b * b) * s
+
+
+def _orbit_classes(a: int, b: int, r: int, s: int) -> Iterator[int]:
+    """Integers m_1, m_2, ... in the square classes of c_1, c_2, ... for c =
+    a/b and beta = r/s (b, s > 0), each 0 exactly when its c_n is, with no
+    Fraction and no gcd.
+
+    The critical orbit z_n = Z_n/D_n is stepped on integers: Z_1 = a, D_1 =
+    b, D_{n+1} = D_n^2 and Z_{n+1} = Z_n^2 + a D_{n+1}/b.  m_1 = (rb - as)sb
+    for c_1 = beta - z_1, and for n >= 2, D_n = b^(2^(n-1)) is a square, so
+    c_n = z_n - beta = (Z_n s - r D_n)/(D_n s) has the class of m_n = (Z_n s
+    - r D_n)s.  The first two items are _level2_classes.
+    """
+    yield (r * b - a * s) * s * b
+    Z, D = a, b
+    while True:
+        D_next = D * D
+        Z = Z * Z + a * (D_next // b)
+        D = D_next
+        yield (Z * s - r * D) * s
 
 
 def _shifted_values(c: Fraction, radicand: Fraction) -> Tuple[int, int, int, int]:
@@ -163,7 +203,7 @@ def level2_data(pair: QuadPair) -> Level2Data:
     -c + sqrt(c_{1,beta}) = e1 of _shifted_values, with one norm test.
     """
     c, beta = pair.normal_form()
-    q1, q2 = _level2_classes(c.numerator, c.denominator, beta.numerator, beta.denominator)
+    q1, q2 = _level2_classes(*_terms(pair))
     if q1 == 0 or q2 == 0:
         raise DegeneracyError("level-2 data needs nonvanishing c_1 and c_2")
     c1 = beta - c
@@ -604,7 +644,8 @@ def classify_abelian(
     if tag is not None:
         return AbelianVerdict("abelian", tag, None, "abelian-pair-table", None)
 
-    q1, q2 = _level2_classes(c.numerator, c.denominator, beta.numerator, beta.denominator)
+    terms = _terms(pair)
+    q1, q2 = _level2_classes(*terms)
     c1 = beta - c
 
     # 1. level-2 D8 criterion
@@ -619,14 +660,15 @@ def classify_abelian(
         return AbelianVerdict("nonabelian", None, cert2, "local-ramification", None)
 
     # 3. faithful root plus a >= 2-dimensional orbit span: with c1 not a
-    # square, span(c_1..c_n) >= 2 first at the first c_n outside {1, c1}
+    # square, span(c_1..c_n) >= 2 first at the first c_n outside {1, c1};
+    # the classes are tested on integers, and c_1..c_n built for the
+    # certificate only
     if not is_square_int(q1) and not in_post_critical_orbit(pair):
-        values = [c1]
-        for z in islice(iterate(c, c), dim_N - 1):  # z_2, ..., z_dim_N
-            cn = z - beta
-            values.append(cn)
-            if _independent_classes(q1, cn.numerator * cn.denominator):
-                cert3 = FaithfulNode2DimCert(c1, tuple(values))
+        classes = islice(_orbit_classes(*terms), 1, dim_N)  # m_2, ..., m_dim_N
+        for n, m in enumerate(classes, start=2):
+            if _independent_classes(q1, m):
+                values = (c1, *(z - beta for z in islice(iterate(c, c), n - 1)))
+                cert3 = FaithfulNode2DimCert(c1, values)
                 return AbelianVerdict("nonabelian", None, cert3, "level0-faithful-dimension", None)
 
     # 4. level-2 computation over a quadratic field from the backward orbit

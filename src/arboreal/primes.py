@@ -16,6 +16,13 @@ large-factor splitter draws its random starts from a generator keyed by n
 alone, so a factorization of n spends the same budget in every run.  Only
 factorize spends a budget: smallest_prime_factor stops at trial division and
 a primality test.
+
+Miller-Rabin with the prime bases 2 to 41 is deterministic below psi_13 =
+3,317,044,064,679,887,385,961,981 (J. Sorenson and J. Webster, "Strong
+pseudoprimes to twelve prime bases", Math. Comp. 86, 2017); the bases 2 to
+37 alone are not, since psi_12 = 318,665,857,834,031,151,167,461 =
+399,165,290,221 * 798,330,580,441 passes all of them.  Above psi_13 it is a
+(very strong) probable-prime test.
 """
 
 from __future__ import annotations
@@ -31,9 +38,9 @@ TRIAL_LIMIT = 10**6
 DEFAULT_BUDGET = 2_000_000
 
 # Miller-Rabin witnesses, also the small primes probed first: deterministic
-# for n < 3,317,044,064,679,887,385,961,981; for larger n the same witnesses
+# below psi_13 (see the module docstring); for larger n the same witnesses
 # make the test a (very strong) probable-prime check.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 class BudgetExceeded(Exception):
@@ -80,7 +87,9 @@ def primes_from(start: int) -> Iterator[int]:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin; deterministic below 3.3e24, overwhelmingly safe above."""
+    """Miller-Rabin on the bases 2 to 41; deterministic below psi_13 =
+    3,317,044,064,679,887,385,961,981 (about 3.3e24), overwhelmingly safe
+    above."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:

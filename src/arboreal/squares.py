@@ -7,13 +7,15 @@ at an odd prime q dividing no value are homomorphisms from the span to F_2,
 so their common kernel holds every relation (a subset whose product is a
 square), and once an exact square test passes on each vector of a basis of
 that kernel, the two are equal (L. M. Adleman, "Factoring numbers using
-singular integers", STOC 1991).  A gcd-free (pairwise coprime) basis, which
-never factors either, is the fallback when the fixed list of primes runs
-out, and the test oracle.  Prime factorization (square_class) runs only
-where the output is itself a factorization, the square-class display; no
-decision calls it.  Squareness in a quadratic field Q(sqrt(d)), for any
-integer d that is not a square, reduces to rational square tests on the
-norm.
+singular integers", STOC 1991).  Spans are taken of integers in the
+values' classes (_span_rank), and each Legendre symbol is read from a
+per-prime table of non-residues built on first use.  A gcd-free (pairwise
+coprime) basis, which never factors either, is the fallback when the fixed
+list of primes runs out, and the test oracle.  Prime factorization
+(square_class) runs only where the output is itself a factorization, the
+square-class display; no decision calls it.  Squareness in a quadratic field
+Q(sqrt(d)), for any integer d that is not a square, reduces to rational
+square tests on the norm.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .f2 import SIGN, F2Vector, base_label, prime_label, rank
@@ -190,18 +192,29 @@ def coprime_base(values: Sequence[int]) -> Tuple[List[int], List[F2Vector]]:
     return base, vectors
 
 
+def _nonresidue_table(q: int) -> bytes:
+    """q bytes, the r-th 1 exactly when r is a quadratic non-residue mod the
+    odd prime q (0 for r = 0 and for the squares)."""
+    table = bytearray([1]) * q
+    table[0] = 0
+    for x in range(1, q // 2 + 1):
+        table[x * x % q] = 0
+    return bytes(table)
+
+
 @lru_cache(maxsize=1)
-def _characters() -> Tuple[Tuple[int, ...], int]:
-    """The odd primes below _CHARACTER_BOUND and their product, modulo which
-    a value is reduced once for all of them."""
+def _characters() -> Tuple[Tuple[int, ...], int, Tuple[bytes, ...]]:
+    """The odd primes below _CHARACTER_BOUND, their product, modulo which a
+    value is reduced once for all of them, and each prime's non-residue
+    table, so a Legendre symbol is one lookup."""
     qs = odd_primes(_CHARACTER_BOUND)
-    return qs, math.prod(qs)
+    return qs, math.prod(qs), tuple(_nonresidue_table(q) for q in qs)
 
 
 def _residue(factors: Iterable[int]) -> int:
     """The product of the integers factors modulo the primes' product, formed
     from their residues, so the product itself is never built."""
-    _, modulus = _characters()
+    modulus = _characters()[1]
     return math.prod(f % modulus for f in factors) % modulus
 
 
@@ -209,25 +222,33 @@ def _character_masks(residues: Sequence[int]) -> Iterator[int]:
     """For each odd prime q of the list that divides none of the values given
     by their residues, the bitmask of the values whose Legendre symbol at q
     is -1."""
-    for q in _characters()[0]:
-        rs = [r % q for r in residues]
-        if 0 not in rs:
-            yield sum(1 << i for i, r in enumerate(rs) if pow(r, q >> 1, q) != 1)
+    qs, _, tables = _characters()
+    for q, table in zip(qs, tables):
+        mask = 0
+        for r in reversed(residues):
+            r %= q
+            if not r:
+                break
+            mask = mask << 1 | table[r]
+        else:
+            yield mask
 
 
-def is_square_product(values: Sequence[Rational]) -> bool:
-    """Whether the product of the nonzero rationals values is a square.
-
-    It is exactly when the product of their numerators and denominators is a
-    square integer.  The sign and the quadratic characters of that product
-    are read off the signs and residues of its factors first, and the product
-    is formed and its integer square root taken only when every character is
-    +1.
-    """
-    ms = [m for v in map(_frac, values) for m in (v.numerator, v.denominator)]
+def _square_product(ms: Sequence[int]) -> bool:
+    """Whether the product of the nonzero integers ms is a square.  Its sign
+    and its quadratic characters are read off the signs and residues of the
+    factors first, and the product is formed and its integer square root
+    taken only when every character is +1."""
     if sum(m < 0 for m in ms) % 2 or any(_character_masks([_residue(ms)])):
         return False
     return is_square_int(math.prod(ms))
+
+
+def is_square_product(values: Sequence[Rational]) -> bool:
+    """Whether the product of the nonzero rationals values is a square: it
+    is exactly when the product of their numerators and denominators is a
+    square integer, which _square_product decides."""
+    return _square_product([m for v in map(_frac, values) for m in (v.numerator, v.denominator)])
 
 
 def _restrict(kernel: List[int], mask: int) -> List[int]:
@@ -240,36 +261,59 @@ def _restrict(kernel: List[int], mask: int) -> List[int]:
     return [b for b in kernel if not (b & mask).bit_count() & 1] + [b ^ hit[0] for b in hit[1:]]
 
 
-def span_dimension(values: Sequence[Rational]) -> int:
-    """dim of the span of the (nonzero) values in Q*/Q*^2, without factoring.
+def _insert(rows: Dict[int, int], mask: int) -> bool:
+    """Reduce the bitmask mask by the echelon rows, keyed by their top bit,
+    and keep what is left; True when it was independent of them."""
+    while mask:
+        row = rows.get(mask.bit_length())
+        if row is None:
+            rows[mask.bit_length()] = mask
+            return True
+        mask ^= row
+    return False
 
-    Each value has the square class of m = numerator*denominator.  The
-    relations among the values (the subsets whose product of m is a square)
-    lie in the kernel of every quadratic character: the sign, and the
-    Legendre symbol at each odd prime below _CHARACTER_BOUND that divides no
-    m.  Starting from all subsets, the kernel is restricted by one character
-    at a time.  Once it is empty, or has stayed as it was for _STALL primes
-    in a row and each of its basis vectors passes is_square_product, it is
-    exactly the space of relations, and the dimension is len(values) minus
-    its dimension.  Only when the primes run out is the rank read off a
-    gcd-free basis (coprime_base).
+
+def _span_rank(ms: Sequence[int]) -> int:
+    """dim of the span of the nonzero integers ms in Q*/Q*^2, without
+    factoring.
+
+    The relations among the ms (the subsets whose product is a square) lie
+    in the kernel of every quadratic character: the sign, and the Legendre
+    symbol at each odd prime below _CHARACTER_BOUND that divides no m.  The
+    characters are read one at a time, each as the bitmask of the ms on
+    which it is -1, into an echelon basis, whose size is the rank of the
+    characters read so far, that is len(ms) minus the dimension of their
+    common kernel.  Once that rank is len(ms), or has stayed as it was for
+    _STALL primes in a row and each vector of a basis of the kernel (from
+    _restrict) passes _square_product, the kernel is exactly the space of
+    relations, and the dimension is that rank.  Only when the primes run
+    out is the rank read off a gcd-free basis (coprime_base).
     """
-    fracs = [_frac(v) for v in values]
-    if 0 in fracs:
+    if 0 in ms:
         raise ValueError("values must be nonzero")
-    n = len(fracs)
-    kernel = _restrict([1 << i for i in range(n)], sum(1 << i for i, v in enumerate(fracs) if v < 0))
+    n = len(ms)
+    masks = [sum(1 << i for i, m in enumerate(ms) if m < 0)]
+    rows: Dict[int, int] = {}
+    _insert(rows, masks[0])
+    modulus = _characters()[1]
     unchanged = 0
-    for mask in _character_masks([_residue((v.numerator, v.denominator)) for v in fracs]):
-        size = len(kernel)
-        kernel = _restrict(kernel, mask)
-        unchanged = unchanged + 1 if len(kernel) == size else 0
-        if not kernel or (
-            unchanged == _STALL
-            and all(is_square_product([v for i, v in enumerate(fracs) if b >> i & 1]) for b in kernel)
-        ):
-            return n - len(kernel)
-    return rank(coprime_base([v.numerator * v.denominator for v in fracs])[1])
+    for mask in _character_masks([m % modulus for m in ms]):
+        masks.append(mask)
+        unchanged = 0 if _insert(rows, mask) else unchanged + 1
+        if len(rows) == n:
+            return n
+        if unchanged == _STALL:
+            kernel = reduce(_restrict, masks, [1 << i for i in range(n)])
+            if all(_square_product([m for i, m in enumerate(ms) if b >> i & 1]) for b in kernel):
+                return len(rows)
+    return rank(coprime_base(list(ms))[1])
+
+
+def span_dimension(values: Sequence[Rational]) -> int:
+    """dim of the span of the (nonzero) values in Q*/Q*^2, without factoring:
+    _span_rank of m = numerator*denominator, which has the value's square
+    class."""
+    return _span_rank([v.numerator * v.denominator for v in map(_frac, values)])
 
 
 @dataclass(frozen=True)

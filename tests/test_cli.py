@@ -640,6 +640,19 @@ def test_valuations_checks_the_prime_before_building_the_orbit(capsys):
     assert capsys.readouterr().err == "arboreal: input error: N must be >= 1\n"
 
 
+def test_strong_pseudoprime_to_bases_up_to_37_is_composite(capsys):
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin on every
+    # prime base up to 37; the base 41 rejects it
+    psi_12 = "318665857834031151167461"
+    assert main(["valuations", "-c", "1/3", "-p", psi_12, "-N", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"arboreal: input error: {psi_12} is not prime\n"
+    code, records = run_json(capsys, "abdim", f"{psi_12},0", "-N", "1")
+    assert (code, records[0]["dimension"], records[0]["classes"]) == (0, 1, None)
+    code, records = run_json(capsys, "abdim", f"{psi_12},0", "-N", "1", "--factor-budget", "20000000")
+    assert records[0]["classes"] == [["sign", "p:399165290221", "p:798330580441"]]
+
+
 def test_lazy_classifier_depth_is_not_capped(capsys):
     assert main(["survey", "--c-height", "2", "--alpha-height", "2", "--dim-n", "40"]) == 0
     deep = json.loads(capsys.readouterr().out)

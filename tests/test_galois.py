@@ -8,9 +8,10 @@ from itertools import islice, takewhile
 
 import pytest
 
-from arboreal import polys
+from arboreal import polys, squares
 from arboreal.cli import main, rationals_of_height, run_survey
 from arboreal.dynamics import (
+    MAX_ORBIT_N,
     DegeneracyError,
     QuadPair,
     _valuation,
@@ -29,6 +30,7 @@ from arboreal.galois import (
     QuadFieldD8Cert,
     _independent_classes,
     _level2_classes,
+    _orbit_classes,
     _quad_field_search,
     _zero_cycle,
     ab_dimension,
@@ -42,11 +44,15 @@ from arboreal.galois import (
     poonen_check,
     replay_certificate,
 )
+from arboreal.f2 import rank
 from arboreal.primes import odd_primes, primes_from, sieve
 from arboreal.squares import (
     QuadElement,
     _is_square_in_quad_int,
+    coprime_base,
     is_square_in_quad,
+    is_square_int,
+    is_square_product,
     quad_independent,
     span_dimension,
     square_class,
@@ -117,24 +123,29 @@ def test_contained_v1_iff_reducible():
 
 
 def test_contained_matches_the_fraction_product_route():
-    # the character pre-check and one integer square test on the product of
-    # num*den, against the product of the adjusted values as a Fraction, on
-    # every nonempty support inside {1..6}
+    # the classes of _orbit_classes, against the product of the adjusted
+    # values as a Fraction and against is_square_product of those values,
+    # on every nonempty support inside {1..6}; a pair in the post-critical
+    # orbit raises for every support
     grid = rationals_of_height(4)
     supports = [[i for i in range(1, 7) if mask >> (i - 1) & 1] for mask in range(1, 64)]
     contained = Counter()
     for c in grid:
         for beta in grid:
             pair = QuadPair.from_normal(c, beta)
-            values = adjusted_orbit(pair, 6).adjusted
-            if in_post_critical_orbit(pair) or 0 in values:
+            if in_post_critical_orbit(pair):
+                for support in supports:
+                    with pytest.raises(DegeneracyError, match="post-critical orbit"):
+                        contained_in_Mv(pair, support)
+                contained["degenerate"] += 1
                 continue
+            values = adjusted_orbit(pair, 6).adjusted
             for support in supports:
-                product = math.prod((values[i - 1] for i in support), start=F(1))
-                expected = sqrt_exact(product) is not None
-                assert contained_in_Mv(pair, support) == expected, (c, beta, support)
+                chosen = [values[i - 1] for i in support]
+                expected = sqrt_exact(math.prod(chosen, start=F(1))) is not None
+                assert contained_in_Mv(pair, support) == expected == is_square_product(chosen), (c, beta, support)
                 contained[expected] += 1
-    assert contained[True] >= 100 and contained[False] >= 10000
+    assert contained[True] >= 100 and contained[False] >= 10000 and contained["degenerate"] >= 10
 
 
 def test_ab_dimension_examples():
@@ -152,6 +163,88 @@ def test_ab_dimension_monotone():
 def test_ab_dimension_degenerate():
     with pytest.raises(DegeneracyError):
         ab_dimension(QuadPair.from_normal(-1, 0), 4)
+
+
+def outcome(f, *args):
+    """f(*args), or the type and text of the exception it raises."""
+    try:
+        return f(*args)
+    except (ValueError, DegeneracyError) as exc:
+        return type(exc), str(exc)
+
+
+def test_orbit_classes_are_the_adjusted_orbit_classes():
+    grid = rationals_of_height(5)
+    for c in grid:
+        for beta in grid:
+            terms = (c.numerator, c.denominator, beta.numerator, beta.denominator)
+            ms = list(islice(_orbit_classes(*terms), 10))
+            assert tuple(ms[:2]) == _level2_classes(*terms)
+            values = adjusted_orbit(QuadPair.from_normal(c, beta), 10).adjusted
+            for m, v in zip(ms, values):
+                assert (m == 0) == (v == 0)
+                assert (m > 0) == (v > 0) and (m < 0) == (v < 0)
+                assert is_square_int(m * v.numerator * v.denominator)
+
+
+def reference_ab_dimension(pair, N):
+    """ab_dimension by the exact Fraction orbit and the gcd-free basis."""
+    orbit = adjusted_orbit(pair, N)
+    orbit.require_nondegenerate()
+    return rank(coprime_base([v.numerator * v.denominator for v in orbit.adjusted])[1])
+
+
+def test_ab_dimension_matches_the_gcd_free_basis():
+    grid = rationals_of_height(6)
+    degenerate = 0
+    for c in grid:
+        for beta in grid:
+            pair = QuadPair.from_normal(c, beta)
+            for N in (0, 1, 2, 6, 12, MAX_ORBIT_N + 1):
+                expected = outcome(reference_ab_dimension, pair, N)
+                assert outcome(ab_dimension, pair, N) == expected, (pair, N)
+                degenerate += isinstance(expected, tuple) and expected[0] is DegeneracyError
+    assert degenerate >= 100
+
+
+def fraction_ab_dimension(pair, N):
+    """ab_dimension by the exact Fraction orbit and span_dimension."""
+    orbit = adjusted_orbit(pair, N)
+    orbit.require_nondegenerate()
+    return span_dimension(orbit.adjusted)
+
+
+@pytest.mark.parametrize("height, N", [(5, 12), (9, 6)])
+def test_ab_dimension_builds_no_orbit_value(monkeypatch, height, N):
+    def refuse(*args):
+        raise AssertionError("ab_dimension builds neither the exact orbit nor a gcd-free basis")
+
+    grid = rationals_of_height(height)
+    pairs = [QuadPair.from_normal(c, beta) for c in grid for beta in grid]
+    expected = [outcome(fraction_ab_dimension, pair, N) for pair in pairs]
+    monkeypatch.setattr("arboreal.galois.adjusted_orbit", refuse)
+    monkeypatch.setattr("arboreal.squares.coprime_base", refuse)
+    assert [outcome(ab_dimension, pair, N) for pair in pairs] == expected
+
+
+def test_stalled_kernel_is_pretested_by_characters(monkeypatch):
+    # at c = 10^200 + 7, beta = 3, N = 12 the kernel stalls on a vector that
+    # is not a relation; its sign and characters reject it before any
+    # product or integer square root of the 400,000-digit values is formed
+    tested = []
+    square_product = squares._square_product
+
+    def recorded(ms):
+        tested.append(square_product(ms))
+        return tested[-1]
+
+    def refuse(n):
+        raise AssertionError("the characters must reject the kernel vector")
+
+    monkeypatch.setattr(squares, "_square_product", recorded)
+    monkeypatch.setattr(squares, "is_square_int", refuse)
+    assert ab_dimension(QuadPair.from_normal(10**200 + 7, 3), 12) == 12
+    assert False in tested
 
 
 def test_level2_examples():

@@ -229,3 +229,18 @@ def test_no_rho_step_runs_before_it_is_charged(bits):
         for (before, charge), (after, _) in zip(log, log[1:]):
             assert charge % w == 0
             assert after - before <= 2 * charge // w
+
+
+# psi_12, the least strong pseudoprime to the prime bases 2 to 37, and
+# psi_13 for the bases 2 to 41 (Sorenson and Webster, Math. Comp. 86, 2017)
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_miller_rabin_is_exact_below_psi_13():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert not is_probable_prime(PSI_12)
+    assert is_probable_prime(399165290221) and is_probable_prime(798330580441)
+    assert factorize(PSI_12, 20_000_000) == {399165290221: 1, 798330580441: 1}
+    # the bound is sharp: psi_13 passes every base up to 41
+    assert PSI_13 == 1287836182261 * 2575672364521 and is_probable_prime(PSI_13)

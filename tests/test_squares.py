@@ -220,7 +220,7 @@ def test_pseudo_square_falls_back_to_the_gcd_free_basis_once(monkeypatch):
     # 1 + 8 * (the odd primes below 2^8) is 1 modulo each of them, so every
     # character is +1 on it, but it is not a square: the exact test rejects
     # the kernel, and only coprime_base can give the rank
-    qs, _ = _characters()
+    qs, _, _ = _characters()
     m = 1 + 8 * math.prod(qs)
     assert math.isqrt(m) ** 2 != m and not is_square_product([m])
     calls = count_gcd_free_bases(monkeypatch)
@@ -241,6 +241,15 @@ def test_square_product_matches_the_formed_product():
     assert not is_square_product([10**200 + 7, 3 * (10**200 + 7), -3])
     assert is_square_product([Fraction(-3, 10**200 + 7), Fraction(-(10**200 + 7), 12)])
     assert not is_square_product([Fraction(3, 10**200 + 7), Fraction(10**200 + 7, 6)])
+
+
+def test_character_tables_follow_eulers_criterion():
+    qs, modulus, tables = _characters()
+    assert qs == tuple(q for q in range(3, 256) if smallest_prime_factor(q) == q)
+    assert modulus == math.prod(qs) and len(tables) == len(qs)
+    for q, table in zip(qs, tables):
+        assert len(table) == q
+        assert [table[r] for r in range(q)] == [int(pow(r, q >> 1, q) == q - 1) for r in range(q)]
 
 
 def test_character_tables_are_not_built_at_import():
