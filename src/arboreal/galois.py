@@ -9,7 +9,7 @@ with replayable certificates.  Containment and the span dimension read
 the square classes of the adjusted orbit off an integer walk
 (_orbit_classes), and build no orbit value.
 
-The sampler reads good reduction off the adjusted orbit: an odd prime p is
+The sampler reads good reduction off polys.orbit_mod: an odd prime p is
 good for f^n(x) - beta exactly when c_{1,beta}, ..., c_{n,beta} are p-adic
 units, by the discriminant formula for quadratic iterates (R. Jones, J.
 London Math. Soc. 78, 2008).
@@ -20,11 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from itertools import islice
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, Union
 
-from . import polys
 from .dynamics import (
     DegeneracyError,
     PCI,
@@ -33,13 +31,13 @@ from .dynamics import (
     _check_depth,
     _in_critical_orbit,
     _valuation,
-    adjusted_orbit,
     in_post_critical_orbit,
     is_exceptional,
     is_pcf,
     iterate,
 )
 from .indexsets import _support_of
+from .polys import _residue_condition, _zero_cycle, factor_degrees, level_poly, orbit_mod, reduce_mod
 from .primes import is_probable_prime, odd_primes, primes_from
 from .squares import (
     QuadElement,
@@ -57,7 +55,6 @@ Rational = Union[int, Fraction]
 DEFAULT_PRIME_BOUND = 100  # odd primes scanned by the local ramification test
 DEFAULT_DIM_N = 12  # orbit values spanned by the faithful-node certificate
 _BACKWARD_DEPTH = 8  # backward-orbit levels walked for a quadratic field
-_ZERO_CYCLE_CACHE = 4096  # (c mod p, p) keys whose cycle of 0 is kept
 MAX_PRIME_BOUND = 10**6  # largest prime_bound: the ramification test sieves up to it
 MAX_GOOD_PRIMES = 10**4  # largest good_primes count: 10^4 level-2 primes take about 1.7 s
 
@@ -97,20 +94,26 @@ def contained_in_Mv(pair: QuadPair, v) -> bool:
     return _square_product([ms[i - 1] for i in support])
 
 
+def _nondegenerate_form(pair: QuadPair, N: int) -> Tuple[Fraction, Fraction]:
+    """The normal form (c, beta).  ValueError when N < 1 or N > MAX_ORBIT_N,
+    then DegeneracyError when c_{n,beta} vanishes for some n <= N."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    _check_depth(N, "N")
+    c, beta = pair.normal_form()
+    n = _in_critical_orbit(c, beta)
+    if n is not None and n <= N:
+        raise DegeneracyError(f"c_{n} equals the basepoint shift (vanishing value)")
+    return c, beta
+
+
 def ab_dimension(pair: QuadPair, N: int) -> int:
     """dim of the span of the first N adjusted-orbit values modulo squares,
     read off their classes from _orbit_classes: no orbit value is built.
     N < 1 or N > MAX_ORBIT_N is a ValueError, and a vanishing value a
-    DegeneracyError."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    _check_depth(N, "N")
-    ms = []
-    for m in islice(_orbit_classes(*_terms(pair)), N):
-        if m == 0:
-            raise DegeneracyError(f"c_{len(ms) + 1} equals the basepoint shift (vanishing value)")
-        ms.append(m)
-    return _span_rank(ms)
+    DegeneracyError, both from _nondegenerate_form."""
+    _nondegenerate_form(pair, N)
+    return _span_rank(list(islice(_orbit_classes(*_terms(pair)), N)))
 
 
 # --- exact level-2 group ----------------------------------------------------
@@ -273,21 +276,6 @@ class FrobeniusReport:
     compatible: Optional[FrozenSet[GroupId]]
 
 
-def _level_data(pair: QuadPair, level: int) -> Tuple[Fraction, Fraction, Tuple[Fraction, ...]]:
-    """(c, beta, (c_{1,beta}, ..., c_{level,beta})); DegeneracyError when one
-    vanishes, since the level polynomial is then square-free modulo no prime.
-    """
-    orbit = adjusted_orbit(pair, level)
-    orbit.require_nondegenerate()
-    c, beta = pair.normal_form()
-    return c, beta, orbit.adjusted
-
-
-def _good_reduction(adjusted: Sequence[Fraction], p: int) -> bool:
-    """Whether the odd prime p is good: every adjusted value is a p-adic unit."""
-    return all(v.numerator % p and v.denominator % p for v in adjusted)
-
-
 def good_primes(pair: QuadPair, level: int, count: int) -> List[int]:
     """First `count` odd primes of good reduction for the level polynomial.
 
@@ -295,14 +283,14 @@ def good_primes(pair: QuadPair, level: int, count: int) -> List[int]:
     normal form (x^2 + c, beta), and that polynomial is square-free mod p.
     Its discriminant is +-2^e prod_{i <= level} c_{i,beta}^(2^(level-i))
     (Jones 2008), so an odd p is good exactly when c_{1,beta}, ...,
-    c_{level,beta} are p-adic units: nothing is built or factored.  Raises
-    ValueError for a count outside 0..MAX_GOOD_PRIMES and DegeneracyError
-    when an adjusted-orbit value vanishes by `level`.
+    c_{level,beta} are p-adic units, which polys.orbit_mod reads mod p.
+    Raises ValueError for a count outside 0..MAX_GOOD_PRIMES, then the errors
+    of _nondegenerate_form(pair, level), before any prime is scanned.
     """
     if not 0 <= count <= MAX_GOOD_PRIMES:
         raise ValueError(f"count must be nonnegative and <= {MAX_GOOD_PRIMES}, got {count}")
-    _, _, adjusted = _level_data(pair, level)
-    good = (p for p in primes_from(3) if _good_reduction(adjusted, p))
+    c, beta = _nondegenerate_form(pair, level)
+    good = (p for p in primes_from(3) if orbit_mod(c, beta, p, level) is not None)
     return list(islice(good, count))
 
 
@@ -319,13 +307,13 @@ def frobenius_sample(pair: QuadPair, level: int, primes: Sequence[int]) -> Frobe
     """
     if level not in (2, 3):
         raise ValueError("sampling supports levels 2 and 3")
-    c, beta, adjusted = _level_data(pair, level)
+    c, beta = _nondegenerate_form(pair, level)
     partitions: Dict[Tuple[int, ...], int] = {}
     used: List[int] = []
     for p in primes:
-        if p == 2 or not _good_reduction(adjusted, p):
+        if p == 2 or orbit_mod(c, beta, p, level) is None:
             continue
-        key = tuple(polys.factor_degrees(polys.level_poly(c, beta, level, p), p))
+        key = tuple(factor_degrees(level_poly(c, beta, level, p), p))
         partitions[key] = partitions.get(key, 0) + 1
         used.append(p)
     if not used:
@@ -355,49 +343,19 @@ class PoonenResult:
         return self.condition is not None
 
 
-@lru_cache(maxsize=_ZERO_CYCLE_CACHE)
-def _zero_cycle(c_mod: int, p: int) -> Optional[FrozenSet[int]]:
-    """The cycle of 0 under x^2 + c_mod modulo p, or None when 0 is not
-    periodic.  The orbit stops at its first repeated value: 0 is periodic
-    exactly when that value is 0.
-    """
-    seen = set()
-    z = 0
-    while True:
-        z = (z * z + c_mod) % p
-        if z in seen:
-            return None
-        seen.add(z)
-        if z == 0:
-            return frozenset(seen)
-
-
-def _residue_condition(num: int, den: int, cycle: Optional[FrozenSet[int]], p: int) -> Optional[str]:
-    """poonen_check's residue test for alpha = num/den at the odd prime p:
-    "a" when p | den, "b" when alpha mod p lies on the cycle of 0 mod p, else
-    None.  The caller excludes the exact orbit of 0 from (b)."""
-    alpha_mod = polys.reduce_mod(num, den, p)
-    if alpha_mod is None:
-        return "a"
-    if cycle is not None and alpha_mod in cycle:
-        return "b"
-    return None
-
-
 def poonen_check(c: Rational, alpha: Rational, p: int) -> PoonenResult:
     """Infinite ramification of the local tower at an odd prime p.
 
     Requires v_p(c) >= 0.  Fires when (a) v_p(alpha) < 0, or (b) 0 is
     periodic modulo p, alpha meets that modular orbit, and alpha is not in
     the exact orbit of 0.  Either condition rules out an abelian image, since
-    an infinitely ramified pro-2 extension of Q_p is non-abelian.  The cycle
-    of 0 mod p is cached per (c mod p, p) in at most _ZERO_CYCLE_CACHE
-    entries, each holding fewer than p residues.
+    an infinitely ramified pro-2 extension of Q_p is non-abelian.  The
+    residues and the cycle of 0 mod p come from polys.
     """
     c, alpha = Fraction(c), Fraction(alpha)
     if p == 2 or not is_probable_prime(p):
         raise ValueError(f"the test needs an odd prime, got {p}")
-    c_mod = polys.reduce_mod(c.numerator, c.denominator, p)
+    c_mod = reduce_mod(c.numerator, c.denominator, p)
     if c_mod is None:
         raise ValueError("the test needs v_p(c) >= 0")
     cycle = _zero_cycle(c_mod, p)
@@ -428,10 +386,7 @@ def nonabelian_prime_search(
     fires at a prime p with v_p(c) >= 0, the only primes scanned, since
     b = z_n is a polynomial in c with integer coefficients, so (a) cannot
     hold, and (b) excludes b by definition.  The scan then reads residues
-    only: c and each basepoint are reduced mod p from their integer
-    numerators and denominators, and the cycle of 0 mod p comes from the
-    cache poonen_check shares, keyed by (c mod p, p): its memory is bounded
-    by the cache size (_ZERO_CYCLE_CACHE) times the period.
+    only, from polys: c and each basepoint mod p, and the cycle of 0 mod p.
     """
     c, beta = pair.normal_form()
     basepoints = [beta]
@@ -443,7 +398,7 @@ def nonabelian_prime_search(
     points = [(bp, bp.numerator, bp.denominator) for bp in basepoints if _in_critical_orbit(c, bp) is None]
     c_num, c_den = c.numerator, c.denominator
     for p in odd_primes(bound):
-        c_mod = polys.reduce_mod(c_num, c_den, p)
+        c_mod = reduce_mod(c_num, c_den, p)
         if c_mod is None:  # v_p(c) < 0
             continue
         cycle = _zero_cycle(c_mod, p)

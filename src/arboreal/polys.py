@@ -1,22 +1,24 @@
-"""Dense polynomials over F_p, for the Frobenius cycle-type oracle.
+"""Arithmetic modulo an odd prime: orbit residues and polynomials over F_p.
 
 Coefficient lists are ascending (f[i] multiplies x^i) with entries in
 [0, p).  There is no Q[x] arithmetic: level_poly builds the level polynomial
 of a quadratic pair directly mod p, and rationals enter only through
-reduce_mod.  The degrees are small (2^level for the level polynomial), so
-products are schoolbook; factor_degrees saves work by reducing through one
-remainder routine with a monic divisor and by reusing the Frobenius map
-h -> h^p as a matrix (von zur Gathen and Shoup, "Computing Frobenius maps
-and factoring polynomials", Comput. Complexity 2, 1992).
+reduce_mod and orbit_mod.  The degrees are small (2^level for the level
+polynomial), so products are schoolbook; factor_degrees saves work by
+reducing through one remainder routine with a monic divisor and by reusing
+the Frobenius map h -> h^p as a matrix (von zur Gathen and Shoup, "Computing
+Frobenius maps and factoring polynomials", Comput. Complexity 2, 1992).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import zip_longest
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 ModPoly = List[int]
+_ZERO_CYCLE_CACHE = 4096  # (c mod p, p) keys whose cycle of 0 is kept
 
 
 def degree(f: Sequence) -> int:
@@ -26,6 +28,56 @@ def degree(f: Sequence) -> int:
 def reduce_mod(num: int, den: int, p: int) -> Optional[int]:
     """The rational num/den modulo p, or None when p divides den."""
     return num * pow(den, -1, p) % p if den % p else None
+
+
+def orbit_mod(c, beta, q: int, N: int) -> Optional[List[int]]:
+    """[c_{1,beta}, ..., c_{N,beta}] mod the odd prime q, or None when one is
+    not a q-adic unit.  When q divides den(c) or den(beta), c_1 = beta - c is
+    reduced in lowest terms, and N >= 2 gives None, since c_1 or c_1 + c_2 =
+    c^2 is then not a unit."""
+    c_mod = reduce_mod(c.numerator, c.denominator, q)
+    beta_mod = reduce_mod(beta.numerator, beta.denominator, q)
+    if c_mod is None or beta_mod is None:
+        shift = beta - c
+        c1 = reduce_mod(shift.numerator, shift.denominator, q) if N == 1 else None
+        return [c1] if c1 else None
+    values, z = [], 0
+    for n in range(1, N + 1):  # z = z_n mod q
+        z = (z * z + c_mod) % q
+        if z == beta_mod:
+            return None
+        values.append((beta_mod - z if n == 1 else z - beta_mod) % q)
+    return values
+
+
+@lru_cache(maxsize=_ZERO_CYCLE_CACHE)
+def _zero_cycle(c_mod: int, p: int) -> Optional[FrozenSet[int]]:
+    """The cycle of 0 under x^2 + c_mod modulo p, or None when 0 is not
+    periodic.  The orbit stops at its first repeated value: 0 is periodic
+    exactly when that value is 0.  Cached per (c mod p, p), so its memory is
+    bounded by _ZERO_CYCLE_CACHE entries of fewer than p residues each.
+    """
+    seen = set()
+    z = 0
+    while True:
+        z = (z * z + c_mod) % p
+        if z in seen:
+            return None
+        seen.add(z)
+        if z == 0:
+            return frozenset(seen)
+
+
+def _residue_condition(num: int, den: int, cycle: Optional[FrozenSet[int]], p: int) -> Optional[str]:
+    """The ramification test's residue condition for alpha = num/den at the
+    odd prime p: "a" when p | den, "b" when alpha mod p lies on the cycle of
+    0 mod p, else None.  The caller excludes the exact orbit of 0 from (b)."""
+    alpha_mod = reduce_mod(num, den, p)
+    if alpha_mod is None:
+        return "a"
+    if cycle is not None and alpha_mod in cycle:
+        return "b"
+    return None
 
 
 def level_poly(c, beta, level: int, p: int) -> Optional[ModPoly]:

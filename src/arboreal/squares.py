@@ -244,13 +244,6 @@ def _square_product(ms: Sequence[int]) -> bool:
     return is_square_int(math.prod(ms))
 
 
-def is_square_product(values: Sequence[Rational]) -> bool:
-    """Whether the product of the nonzero rationals values is a square: it
-    is exactly when the product of their numerators and denominators is a
-    square integer, which _square_product decides."""
-    return _square_product([m for v in map(_frac, values) for m in (v.numerator, v.denominator)])
-
-
 def _restrict(kernel: List[int], mask: int) -> List[int]:
     """The part of the span of the independent bitmasks kernel on which the
     character with bitmask mask is +1, as independent bitmasks: one pivot

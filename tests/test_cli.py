@@ -867,6 +867,21 @@ RESULT_PINS = [
         "a5c069018687cf05f06c7fa9961c9d02d4e21b61aaaa2bbe8a5deb5d382351e1",
         id="survey-table",
     ),
+    pytest.param(
+        ["group2", "1/3,2", "--frobenius", "200"],
+        "7397ab648d8b2a1ebe2974eb00406649f5630946df8981604fcd44cf559473d4",
+        id="group2-frobenius-d8",
+    ),
+    pytest.param(
+        ["group2", "-2,0", "--frobenius", "100"],
+        "aa08a6f5196213eab8839bb183f580c63bdf31413a0eb9f0aa0dd501a5ebaaa2",
+        id="group2-frobenius-abelian",
+    ),
+    pytest.param(
+        ["poonen", "-c", "-1", "--alpha", "2", "-p", "3"],
+        "187332d0a94016abdac0ec143f3b87e737346eac91e4dfdb45b21ffc1b56bf78",
+        id="poonen",
+    ),
 ]
 
 

@@ -26,7 +26,6 @@ from arboreal.dynamics import (
     orbit_valuations,
     verify_pcf,
 )
-from arboreal.galois import _good_reduction
 from arboreal.primes import primes_from
 
 F = Fraction
@@ -314,8 +313,9 @@ def backward_orbit_sizes(pair, depth):
 def test_fp_level_poly_against_exact_reduction():
     """polys.level_poly is None exactly when p divides a denominator of the
     exact level polynomial, and is its coefficientwise reduction otherwise.
-    The good-reduction predicate (every c_{i,beta}, i <= n, a p-adic unit)
-    holds exactly when the reduction exists and is square-free."""
+    The good-reduction predicate (polys.orbit_mod is not None: every
+    c_{i,beta}, i <= n, a p-adic unit) holds exactly when the reduction
+    exists and is square-free."""
     values = rationals_of_height(4)
     primes = list(itertools.islice(primes_from(3), 40))
     for c in values:
@@ -323,7 +323,6 @@ def test_fp_level_poly_against_exact_reduction():
             exact = [iterate[0] - beta] + iterate[1:]
             den = math.lcm(*(q.denominator for q in exact))
             scaled = [q.numerator * (den // q.denominator) for q in exact]
-            adjusted = adjusted_orbit(QuadPair.from_normal(c, beta), n).adjusted
             for p in primes:
                 got = polys.level_poly(c, beta, n, p)
                 if den % p == 0:  # p divides some coefficient's denominator
@@ -332,7 +331,7 @@ def test_fp_level_poly_against_exact_reduction():
                     inv = pow(den, -1, p)
                     assert got == [a * inv % p for a in scaled], (c, beta, n, p)
                 good = got is not None and polys.factor_degrees(got, p) is not None
-                assert _good_reduction(adjusted, p) == good, (c, beta, n, p)
+                assert (polys.orbit_mod(c, beta, p, n) is not None) == good, (c, beta, n, p)
 
 
 def test_exceptional_matches_preimage_counting():

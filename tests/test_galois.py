@@ -20,7 +20,6 @@ from arboreal.dynamics import (
     iterate,
 )
 from arboreal.galois import (
-    _ZERO_CYCLE_CACHE,
     MAX_GOOD_PRIMES,
     MAX_PRIME_BOUND,
     AbelianVerdict,
@@ -32,7 +31,6 @@ from arboreal.galois import (
     _level2_classes,
     _orbit_classes,
     _quad_field_search,
-    _zero_cycle,
     ab_dimension,
     classify_abelian,
     contained_in_Mv,
@@ -45,6 +43,7 @@ from arboreal.galois import (
     replay_certificate,
 )
 from arboreal.f2 import rank
+from arboreal.polys import _ZERO_CYCLE_CACHE, _zero_cycle
 from arboreal.primes import odd_primes, primes_from, sieve
 from arboreal.squares import (
     QuadElement,
@@ -52,7 +51,6 @@ from arboreal.squares import (
     coprime_base,
     is_square_in_quad,
     is_square_int,
-    is_square_product,
     quad_independent,
     span_dimension,
     square_class,
@@ -124,9 +122,9 @@ def test_contained_v1_iff_reducible():
 
 def test_contained_matches_the_fraction_product_route():
     # the classes of _orbit_classes, against the product of the adjusted
-    # values as a Fraction and against is_square_product of those values,
-    # on every nonempty support inside {1..6}; a pair in the post-critical
-    # orbit raises for every support
+    # values as a Fraction and against _square_product of their numerators
+    # and denominators, on every nonempty support inside {1..6}; a pair in
+    # the post-critical orbit raises for every support
     grid = rationals_of_height(4)
     supports = [[i for i in range(1, 7) if mask >> (i - 1) & 1] for mask in range(1, 64)]
     contained = Counter()
@@ -143,7 +141,8 @@ def test_contained_matches_the_fraction_product_route():
             for support in supports:
                 chosen = [values[i - 1] for i in support]
                 expected = sqrt_exact(math.prod(chosen, start=F(1))) is not None
-                assert contained_in_Mv(pair, support) == expected == is_square_product(chosen), (c, beta, support)
+                terms = [m for v in chosen for m in (v.numerator, v.denominator)]
+                assert contained_in_Mv(pair, support) == expected == squares._square_product(terms), (c, beta, support)
                 contained[expected] += 1
     assert contained[True] >= 100 and contained[False] >= 10000 and contained["degenerate"] >= 10
 
@@ -222,7 +221,7 @@ def test_ab_dimension_builds_no_orbit_value(monkeypatch, height, N):
     grid = rationals_of_height(height)
     pairs = [QuadPair.from_normal(c, beta) for c in grid for beta in grid]
     expected = [outcome(fraction_ab_dimension, pair, N) for pair in pairs]
-    monkeypatch.setattr("arboreal.galois.adjusted_orbit", refuse)
+    monkeypatch.setattr("arboreal.dynamics.adjusted_orbit", refuse)
     monkeypatch.setattr("arboreal.squares.coprime_base", refuse)
     assert [outcome(ab_dimension, pair, N) for pair in pairs] == expected
 
@@ -402,8 +401,8 @@ def test_good_primes_never_builds_or_factors(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("good_primes must not build or factor a polynomial")
 
-    monkeypatch.setattr("arboreal.polys.level_poly", refuse)
-    monkeypatch.setattr("arboreal.polys.factor_degrees", refuse)
+    monkeypatch.setattr("arboreal.galois.level_poly", refuse)
+    monkeypatch.setattr("arboreal.galois.factor_degrees", refuse)
     assert good_primes(QuadPair.from_normal(1, 0), 3, 20) == expected
     assert good_primes(QuadPair.from_normal(1, -3), 2, 5) == [3, 7, 11, 13, 17]
 

@@ -1,9 +1,37 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from arboreal.polys import factor_degrees, pm_divmod, pm_mul
+from arboreal.cli import rationals_of_height
+from arboreal.dynamics import QuadPair, adjusted_orbit
+from arboreal.polys import factor_degrees, orbit_mod, pm_divmod, pm_mul
+from arboreal.primes import primes_from
+
+
+def test_orbit_mod_is_the_reduced_adjusted_orbit():
+    # every pair of height <= 4, N <= 5 and the first 40 odd primes, against
+    # the exact adjusted values: None when one is not a q-adic unit, else
+    # each value reduced mod q
+    grid = rationals_of_height(4)
+    primes = list(itertools.islice(primes_from(3), 40))
+    outcomes = set()
+    for c, beta in itertools.product(grid, grid):
+        adjusted = adjusted_orbit(QuadPair.from_normal(c, beta), 5).adjusted
+        for N, q in itertools.product(range(1, 6), primes):
+            values = adjusted[:N]
+            if all(v.numerator % q and v.denominator % q for v in values):
+                expected = [v.numerator * pow(v.denominator, -1, q) % q for v in values]
+            else:
+                expected = None
+            assert orbit_mod(c, beta, q, N) == expected, (c, beta, q, N)
+            outcomes.add(expected is None)
+    assert outcomes == {True, False}
+    # q = 3 divides den(c) and den(beta), yet c_1 = 1 is a unit; c_2 is not
+    c, beta = Fraction(1, 3), Fraction(4, 3)
+    assert orbit_mod(c, beta, 3, 1) == [1]
+    assert orbit_mod(c, beta, 3, 2) is None
 
 
 def test_factor_degrees_examples():

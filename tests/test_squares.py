@@ -20,12 +20,12 @@ from arboreal.squares import (
     SquareClass,
     _characters,
     _is_square_in_quad_int,
+    _square_product,
     all_valuations_even,
     coprime_base,
     is_perfect_square,
     is_square_in_quad,
     is_square_int,
-    is_square_product,
     quad_independent,
     span_dimension,
     sqrt_exact,
@@ -222,7 +222,7 @@ def test_pseudo_square_falls_back_to_the_gcd_free_basis_once(monkeypatch):
     # the kernel, and only coprime_base can give the rank
     qs, _, _ = _characters()
     m = 1 + 8 * math.prod(qs)
-    assert math.isqrt(m) ** 2 != m and not is_square_product([m])
+    assert math.isqrt(m) ** 2 != m and not _square_product([m])
     calls = count_gcd_free_bases(monkeypatch)
     assert span_dimension([m]) == 1
     assert len(calls) == 1
@@ -236,11 +236,12 @@ def test_square_product_matches_the_formed_product():
         ms = [rng.choice([-1, 1]) * rng.randint(1, 60) for _ in range(rng.randint(1, 5))]
         if rng.random() < 0.5:  # make the product a square up to sign
             ms.append(math.prod(ms))
-        assert is_square_product(ms) == is_square_int(math.prod(ms)), ms
-    assert is_square_product([10**200 + 7, 3 * (10**200 + 7), 3])
-    assert not is_square_product([10**200 + 7, 3 * (10**200 + 7), -3])
-    assert is_square_product([Fraction(-3, 10**200 + 7), Fraction(-(10**200 + 7), 12)])
-    assert not is_square_product([Fraction(3, 10**200 + 7), Fraction(10**200 + 7, 6)])
+        assert _square_product(ms) == is_square_int(math.prod(ms)), ms
+    assert _square_product([10**200 + 7, 3 * (10**200 + 7), 3])
+    assert not _square_product([10**200 + 7, 3 * (10**200 + 7), -3])
+    # -3/(10^200 + 7) times -(10^200 + 7)/12, on numerators and denominators
+    assert _square_product([-3, 10**200 + 7, -(10**200 + 7), 12])
+    assert not _square_product([3, 10**200 + 7, 10**200 + 7, 6])
 
 
 def test_character_tables_follow_eulers_criterion():
