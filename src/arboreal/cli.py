@@ -428,7 +428,7 @@ def _cmd_tree_verify(args) -> int:
         else:
             print("no counterexamples (%d pairs)" % scanned)
     else:
-        print(json.dumps([record], indent=2, sort_keys=True))
+        _emit([record], "json", ())
     return EXIT_OK if not counterexamples else EXIT_INCONCLUSIVE
 
 

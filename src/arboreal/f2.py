@@ -1,19 +1,24 @@
 """Sparse vectors over GF(2) with tagged labels, plus exact linear algebra.
 
-One elimination kernel serves both square classes (labels: sign marker and
-primes, or opaque coprime-base elements) and index vectors (labels: positive
-integers).  Labels carry a fixed total order
+Labels carry a fixed total order
 
     SIGN < Prime(2) < Prime(3) < ... < Base(...) < Index(1) < Index(2) < ...
 
-and elimination always pivots on the smallest label, so every result is
-deterministic for any input order.
+and the package's one elimination kernel is an echelon of int bitmasks
+keyed by their top bit (_insert).  rank and in_span give each label of a
+call the bit of its place in that order (never of its value, so a label
+of 10^10 costs one bit), the smallest label the top bit, so elimination
+pivots on the smallest label of a support and every result is
+deterministic for any input order.  Its three users are index vectors
+(labels: positive integers), the gcd-free fallback for square classes
+(labels: sign marker and primes, or opaque coprime-base elements), and the
+span sketch of squares._span_rank, whose bits are the span's values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 _KIND_SIGN = 0
 _KIND_PRIME = 1
@@ -95,41 +100,41 @@ class F2Vector:
 ZERO = F2Vector(frozenset())
 
 
-class _Eliminator:
-    """Gaussian elimination over GF(2), pivoting on the smallest label."""
+def _insert(rows: Dict[int, int], mask: int) -> bool:
+    """Reduce the bitmask mask by the echelon rows, keyed by their top bit,
+    and keep what is left; True when it was independent of them."""
+    while mask:
+        row = rows.get(mask.bit_length())
+        if row is None:
+            rows[mask.bit_length()] = mask
+            return True
+        mask ^= row
+    return False
 
-    def __init__(self) -> None:
-        # pivot label -> (reduced vector, combination as a frozenset of input indices)
-        self.rows: dict = {}
 
-    def reduce(self, vec: F2Vector, combo: frozenset) -> tuple:
-        support = vec.support
-        while support:
-            lead = min(support)
-            row = self.rows.get(lead)
-            if row is None:
-                return support, combo, lead
-            support = support ^ row[0]
-            combo = combo ^ row[1]
-        return support, combo, None
+def _restrict(kernel: List[int], mask: int) -> List[int]:
+    """The part of the span of the independent bitmasks kernel on which the
+    character with bitmask mask is +1, as independent bitmasks: one pivot
+    elimination, which drops at most one vector."""
+    hit = [b for b in kernel if (b & mask).bit_count() & 1]
+    if not hit:
+        return kernel
+    return [b for b in kernel if not (b & mask).bit_count() & 1] + [b ^ hit[0] for b in hit[1:]]
 
-    def insert(self, vec: F2Vector, index: int) -> bool:
-        """Reduce and keep vec; returns True when it enlarged the span."""
-        support, combo, lead = self.reduce(vec, frozenset([index]))
-        if lead is None:
-            return False
-        self.rows[lead] = (support, combo)
-        return True
+
+def _masks(vectors: Sequence[F2Vector]) -> List[int]:
+    """The vectors as bitmasks over their labels, each bit given by the
+    label's place in the sorted order, the smallest label the top bit, so
+    _insert pivots on the smallest label of a support."""
+    order = sorted(set().union(*(v.support for v in vectors)), reverse=True)
+    bit = {label: 1 << k for k, label in enumerate(order)}
+    return [sum(bit[label] for label in v.support) for v in vectors]
 
 
 def rank(vectors: Sequence[F2Vector]) -> int:
     """Dimension of the GF(2)-span of the given vectors."""
-    elim = _Eliminator()
-    r = 0
-    for i, v in enumerate(vectors):
-        if elim.insert(v, i):
-            r += 1
-    return r
+    rows: Dict[int, int] = {}
+    return sum(_insert(rows, mask) for mask in _masks(vectors))
 
 
 def in_span(v: F2Vector, vectors: Sequence[F2Vector]) -> Optional[tuple]:
@@ -139,10 +144,16 @@ def in_span(v: F2Vector, vectors: Sequence[F2Vector]) -> Optional[tuple]:
     exactly v; the zero vector yields the empty tuple.  Check membership with
     `is not None` (the empty certificate is falsy).
     """
-    elim = _Eliminator()
-    for i, w in enumerate(vectors):
-        elim.insert(w, i)
-    support, combo, lead = elim.reduce(v, frozenset())
-    if lead is not None or support:
-        return None
-    return tuple(sorted(combo))
+    *masks, target = _masks([*vectors, v])
+    n = len(masks)
+    rows: Dict[int, int] = {}
+    # the low n bits of a row name the inputs that sum to it
+    for i, mask in enumerate(masks):
+        _insert(rows, mask << n | 1 << i)
+    target <<= n
+    while target >> n:
+        row = rows.get(target.bit_length())
+        if row is None:
+            return None
+        target ^= row
+    return tuple(i for i in range(n) if target >> i & 1)

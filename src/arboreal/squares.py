@@ -8,14 +8,15 @@ so their common kernel holds every relation (a subset whose product is a
 square), and once an exact square test passes on each vector of a basis of
 that kernel, the two are equal (L. M. Adleman, "Factoring numbers using
 singular integers", STOC 1991).  Spans are taken of integers in the
-values' classes (_span_rank), and each Legendre symbol is read from a
-per-prime table of non-residues built on first use.  A gcd-free (pairwise
-coprime) basis, which never factors either, is the fallback when the fixed
-list of primes runs out, and the test oracle.  Prime factorization
-(square_class) runs only where the output is itself a factorization, the
-square-class display; no decision calls it.  Squareness in a quadratic field
-Q(sqrt(d)), for any integer d that is not a square, reduces to rational
-square tests on the norm.
+values' classes (_span_rank), each Legendre symbol is read from a
+per-prime table of non-residues built on first use, and the characters are
+kept in f2's bitmask echelon.  A gcd-free (pairwise coprime) basis, which
+never factors either, is the fallback when the fixed list of primes runs
+out, and the test oracle.  Prime factorization (square_class) runs only
+where the output is itself a factorization, the square-class display; no
+decision calls it.  Squareness in a quadratic field Q(sqrt(d)), for any
+integer d that is not a square, reduces to rational square tests on the
+norm.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .f2 import SIGN, F2Vector, base_label, prime_label, rank
+from .f2 import SIGN, F2Vector, _insert, _restrict, base_label, prime_label, rank
 from .primes import DEFAULT_BUDGET, factorize, odd_primes
 
 Rational = Union[int, Fraction]
@@ -244,28 +245,6 @@ def _square_product(ms: Sequence[int]) -> bool:
     return is_square_int(math.prod(ms))
 
 
-def _restrict(kernel: List[int], mask: int) -> List[int]:
-    """The part of the span of the independent bitmasks kernel on which the
-    character with bitmask mask is +1, as independent bitmasks: one pivot
-    elimination, which drops at most one vector."""
-    hit = [b for b in kernel if (b & mask).bit_count() & 1]
-    if not hit:
-        return kernel
-    return [b for b in kernel if not (b & mask).bit_count() & 1] + [b ^ hit[0] for b in hit[1:]]
-
-
-def _insert(rows: Dict[int, int], mask: int) -> bool:
-    """Reduce the bitmask mask by the echelon rows, keyed by their top bit,
-    and keep what is left; True when it was independent of them."""
-    while mask:
-        row = rows.get(mask.bit_length())
-        if row is None:
-            rows[mask.bit_length()] = mask
-            return True
-        mask ^= row
-    return False
-
-
 def _span_rank(ms: Sequence[int]) -> int:
     """dim of the span of the nonzero integers ms in Q*/Q*^2, without
     factoring.
@@ -274,12 +253,12 @@ def _span_rank(ms: Sequence[int]) -> int:
     in the kernel of every quadratic character: the sign, and the Legendre
     symbol at each odd prime below _CHARACTER_BOUND that divides no m.  The
     characters are read one at a time, each as the bitmask of the ms on
-    which it is -1, into an echelon basis, whose size is the rank of the
-    characters read so far, that is len(ms) minus the dimension of their
-    common kernel.  Once that rank is len(ms), or has stayed as it was for
-    _STALL primes in a row and each vector of a basis of the kernel (from
-    _restrict) passes _square_product, the kernel is exactly the space of
-    relations, and the dimension is that rank.  Only when the primes run
+    which it is -1, into f2's bitmask echelon (_insert), whose size is the
+    rank of the characters read so far, that is len(ms) minus the dimension
+    of their common kernel.  Once that rank is len(ms), or has stayed as it
+    was for _STALL primes in a row and each vector of a basis of the kernel
+    (from _restrict) passes _square_product, the kernel is exactly the space
+    of relations, and the dimension is that rank.  Only when the primes run
     out is the rank read off a gcd-free basis (coprime_base).
     """
     if 0 in ms:

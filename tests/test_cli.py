@@ -882,6 +882,18 @@ RESULT_PINS = [
         "187332d0a94016abdac0ec143f3b87e737346eac91e4dfdb45b21ffc1b56bf78",
         id="poonen",
     ),
+    pytest.param(
+        ["indexset", "--family", "{1,2};{2,3};{1,3};{3,4};{1,4}", "--progression", "1,2",
+         "--span", "{1,3}", "--span", "{2,4}", "--span", "{1,2}", "--span", "{5}"],
+        # {1,3} is certified by [0, 1], not [2]: elimination keeps the first independent members
+        "815b0e69cbe4c4284ce3bc42eb8f2432deb3c05d30812157fa8f952118aec336",
+        id="indexset-span",
+    ),
+    pytest.param(
+        ["tree-verify", "3"],
+        "0830cc0ce80db5a331ef1dbf6bda16fbf3de3e0fd647e37079c287baefbd77b6",
+        id="tree-verify",
+    ),
 ]
 
 

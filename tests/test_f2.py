@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -100,3 +102,49 @@ def test_certificates_resum(vs, data):
     for i in cert:
         total = total + vs[i]
     assert total == target
+
+
+def _draw_family(rng):
+    """Up to 10 vectors of one label kind: sign/prime, base, or index labels,
+    the last including indices near 10^18; repeats and sums of earlier
+    members make many families dependent."""
+    kind = rng.choice(["prime", "base", "index"])
+    if kind == "index":
+        pool = [index_label(i) for i in (1, 2, 3, 5, 8, 10**18 - 1, 10**18, 10**18 + 7)]
+    elif kind == "prime":
+        pool = [SIGN] + [prime_label(p) for p in (2, 3, 5, 7, 11, 10**9 + 7)]
+    else:
+        pool = [SIGN] + [base_label(b) for b in (6, 10, 15, 35, 10**12 + 39, 10**18 + 9)]
+
+    def draw():
+        return F2Vector.from_labels(rng.sample(pool, rng.randint(0, 4)))
+
+    vs = [draw() for _ in range(rng.randint(0, 10))]
+    if vs and rng.random() < 0.5:
+        total = ZERO
+        for v in rng.sample(vs, rng.randint(1, len(vs))):
+            total = total + v
+        vs.insert(rng.randrange(len(vs) + 1), total)
+    return vs[:10], draw
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kernel_matches_the_subset_span(seed):
+    # the span by XOR over all subsets, with no elimination at all
+    rng = random.Random(seed)
+    for _ in range(100):
+        vs, draw = _draw_family(rng)
+        span = {frozenset()}
+        for v in vs:
+            span |= {s ^ v.support for s in span}
+        assert 2 ** rank(vs) == len(span)
+        targets = [F2Vector(s) for s in rng.sample(sorted(span, key=sorted), min(len(span), 4))]
+        for t in targets + [draw() for _ in range(4)]:
+            cert = in_span(t, vs)
+            assert (cert is not None) == (t.support in span)
+            if cert is not None:
+                assert list(cert) == sorted(set(cert))
+                total = ZERO
+                for i in cert:
+                    total = total + vs[i]
+                assert total == t
