@@ -112,19 +112,20 @@ def _parse_pairs(args) -> List[QuadPair]:
 
 
 def rationals_of_height(H: int) -> List[Fraction]:
-    """All rationals p/q in lowest terms with |p| <= H and 1 <= q <= H.
+    """All rationals p/q in lowest terms with |p| <= H and 1 <= q <= H, the
+    point search's curves._lowest_terms(H), sorted.
 
     Height 0 still contains 0, so the smallest grid is {0} x {0}; a negative
     height is a ValueError.
     """
     if H < 0:
         raise ValueError(f"height must be nonnegative, got {H}")
-    return sorted(Fraction(p, q) for q in range(1, max(H, 1) + 1) for p in range(-H, H + 1) if math.gcd(p, q) == 1)
+    return sorted(Fraction(p, q) for p, q in curves_mod._lowest_terms(H)) if H else [Fraction(0)]
 
 
-def _grid(H: int) -> List[Tuple[int, int, str]]:
-    """rationals_of_height(H) as (numerator, denominator, text) triples."""
-    return [(v.numerator, v.denominator, str(v)) for v in rationals_of_height(H)]
+def _grid(H: int) -> List[Tuple[int, int, str, Fraction]]:
+    """rationals_of_height(H) as (numerator, denominator, text, value)."""
+    return [(v.numerator, v.denominator, str(v), v) for v in rationals_of_height(H)]
 
 
 # Most (c, alpha) pairs one survey classifies: 30/30 has 1,234,321 pairs and
@@ -172,13 +173,13 @@ def run_survey(
     abelian: List[dict] = []
     counts = {"abelian": 0, "nonabelian": 0, "not_applicable": 0}
     rows: List[Tuple[str, str, str, str]] = []
-    for a, b, c_text in cs:
-        for r, s, alpha_text in alphas:
+    for a, b, c_text, c in cs:
+        for r, s, alpha_text, alpha in alphas:
             q1, q2 = galois._level2_classes(a, b, r, s)
             if q1 and q2 and galois._independent_classes(q1, q2):
                 status, provenance = galois.D8_STATUS, galois.D8_PROVENANCE
             else:
-                pair = QuadPair.from_normal(Fraction(a, b), Fraction(r, s))
+                pair = QuadPair.from_normal(c, alpha)
                 verdict = galois.classify_abelian(pair, prime_bound, dim_N)
                 status, provenance = verdict.status, verdict.provenance
                 if status == "abelian":

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Tuple
 
-from .dynamics import QuadPair, _check_depth, _first_hit, _in_critical_orbit, _orbit_prefix, _support_square
+from .dynamics import QuadPair, _check_depth, _first_hit, _in_critical_orbit, _orbit_prefix, adjusted_orbit
 from .indexsets import IndexVector, is_progression
 from .primes import BudgetExceeded
 from .squares import sqrt_exact
@@ -68,7 +68,7 @@ def is_smooth(curve: CurveSpec) -> bool:
     """
     c, beta = curve.pair.normal_form()
     hit = _in_critical_orbit(c, beta)  # the first vanishing adjusted value
-    if hit is not None and hit <= max(curve.exponents):
+    if hit is not None and hit <= curve.k * curve.l + curve.i0:
         return False
     period = _first_hit(c, beta, beta)  # in normal form, alpha's period is beta's
     return period is None or all(curve.k * j % period for j in range(1, curve.l))
@@ -129,12 +129,16 @@ def construct_point(
     point (f^(s-k-i0)(critical point), y0) lands on that curve, because
     f^(k*j + i0)(x0) - alpha = c_{s + k*(j-1), alpha} exactly.
     Returns None when the product is not a square; a support index above
-    MAX_ORBIT_N is a ValueError.
+    MAX_ORBIT_N is a ValueError, and a vanishing c_{i,alpha} up to the last
+    index a DegeneracyError.
     """
     curve = _progression_curve(pair, v, i0, k)
     support = tuple(v.support)
     _check_depth(support[-1], "support indices")
-    prod, y0 = _support_square(pair, support)
+    orbit = adjusted_orbit(pair, support[-1])
+    orbit.require_nondegenerate()
+    prod = math.prod((orbit.adjusted[i - 1] for i in support), start=Fraction(1))
+    y0 = sqrt_exact(prod)
     if y0 is None:
         return None
     # x0 = f^(s-k-i0)(a) = z_(s-k-i0) + a on the normal form's critical orbit
@@ -159,9 +163,10 @@ def _grid_size(H: int) -> int:
     Phi(n) = phi(1) + ... + phi(n) is read off sum_{d<=n} Phi(n // d) =
     n(n+1)/2 over the distinct quotients n // d.
 
-    At H = 0 the count is 1, the grid {0} of cli.rationals_of_height(0),
-    while _lowest_terms(0) is empty; every point-search cap allows at least
-    4 values of x, so no search tells the two apart.
+    At H = 0 the count is 1, the survey's grid {0}: _lowest_terms(0) is
+    empty, and cli.rationals_of_height alone adds 0 to it.  Every
+    point-search cap allows at least 4 values of x, so no search tells the
+    two apart.
     """
     memo = {}
 

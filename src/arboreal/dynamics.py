@@ -11,15 +11,14 @@ procedure below works on the normal form.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from .primes import is_probable_prime, smallest_prime_factor
-from .squares import _divide_out, _frac, sqrt_exact
+from .squares import _divide_out, _frac
 
 Rational = Union[int, Fraction]
 
@@ -212,15 +211,6 @@ def adjusted_orbit(pair: QuadPair, N: int) -> AdjustedOrbit:
     adjusted = [beta - zs[0]] + [z - beta for z in zs[1:]]
     degeneracy = next((i + 1 for i, v in enumerate(adjusted) if v == 0), None)
     return AdjustedOrbit(tuple(raw), tuple(adjusted), degeneracy)
-
-
-def _support_square(pair: QuadPair, support: Sequence[int]) -> Tuple[Fraction, Optional[Fraction]]:
-    """(P, sqrt(P)) for P the product of c_{i,alpha} over a nonempty support,
-    with None for a non-square P; DegeneracyError if a value vanishes."""
-    orbit = adjusted_orbit(pair, support[-1])
-    orbit.require_nondegenerate()
-    prod = math.prod((orbit.adjusted[i - 1] for i in support), start=Fraction(1))
-    return prod, sqrt_exact(prod)
 
 
 def in_post_critical_orbit(pair: QuadPair) -> bool:

@@ -139,14 +139,14 @@ def _orbit_classes(a: int, b: int, r: int, s: int) -> Iterator[int]:
     a/b and beta = r/s (b, s > 0), each 0 exactly when its c_n is, with no
     Fraction and no gcd.
 
-    The critical orbit z_n = Z_n/D_n is stepped on integers: Z_1 = a, D_1 =
-    b, D_{n+1} = D_n^2 and Z_{n+1} = Z_n^2 + a D_{n+1}/b.  m_1 = (rb - as)sb
-    for c_1 = beta - z_1, and for n >= 2, D_n = b^(2^(n-1)) is a square, so
-    c_n = z_n - beta = (Z_n s - r D_n)/(D_n s) has the class of m_n = (Z_n s
-    - r D_n)s.  The first two items are _level2_classes.
+    The first two items are _level2_classes.  Past them the critical orbit
+    z_n = Z_n/D_n is stepped on integers from Z_2 = a(a + b) and D_2 = b^2:
+    D_{n+1} = D_n^2 and Z_{n+1} = Z_n^2 + a D_{n+1}/b.  For n >= 2, D_n =
+    b^(2^(n-1)) is a square, so c_n = z_n - beta = (Z_n s - r D_n)/(D_n s)
+    has the class of m_n = (Z_n s - r D_n)s.
     """
-    yield (r * b - a * s) * s * b
-    Z, D = a, b
+    yield from _level2_classes(a, b, r, s)
+    Z, D = a * (a + b), b * b
     while True:
         D_next = D * D
         Z = Z * Z + a * (D_next // b)

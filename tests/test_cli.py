@@ -2,12 +2,14 @@ import argparse
 import contextlib
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -37,6 +39,16 @@ def test_rationals_of_height():
     assert len(rationals_of_height(5)) == 39
     with pytest.raises(ValueError):
         rationals_of_height(-1)
+
+
+def test_rationals_of_height_matches_a_gcd_double_loop():
+    # an enumeration of its own, independent of curves._lowest_terms: every
+    # p/q with gcd(p, q) = 1, |p| <= H and q <= max(H, 1), so {0} at H = 0
+    for H in range(31):
+        expected = sorted(
+            Fraction(p, q) for q in range(1, max(H, 1) + 1) for p in range(-H, H + 1) if math.gcd(p, q) == 1
+        )
+        assert rationals_of_height(H) == expected, H
 
 
 def test_classify_abelian_pair(capsys):
@@ -893,6 +905,33 @@ RESULT_PINS = [
         ["tree-verify", "3"],
         "0830cc0ce80db5a331ef1dbf6bda16fbf3de3e0fd647e37079c287baefbd77b6",
         id="tree-verify",
+    ),
+    pytest.param(
+        ["curve", "-2,0", "--vector", "{2,3}", "--i0", "1", "--search", "10"],
+        "431cd90aa967d7fa446088ede8fb1e1b2ee05b7d6bb7de5b5acd446e2c8349e4",
+        id="curve-vector-search",
+    ),
+    pytest.param(
+        # the point search's height-0 grid is empty
+        ["curve", "1/3,2", "--search", "0"],
+        "842d51f3e30dbec37ef65f22333f62d23a1e92af71d7d77c5942522358491283",
+        id="curve-search-0",
+    ),
+    pytest.param(
+        # the survey's height-0 grid is {0}
+        ["survey", "--c-height", "0", "--alpha-height", "0"],
+        "c777bce0ce350c9ef044fd108e23d10f5c198d5f0a99f1b674f502a4bef38530",
+        id="survey-0",
+    ),
+    pytest.param(
+        ["contain", "2,1", "{2,4}"],
+        "4794bd5e40daea8524bd90c474b73fb5cae106906316d56254cc8499cc67f8c4",
+        id="contain-true",
+    ),
+    pytest.param(
+        ["contain", "2,1", "{1}"],
+        "19b672ce905fb16b050d8027ecb2295e04debd56008c7e92ad0e112b05d21f2b",
+        id="contain-false",
     ),
 ]
 

@@ -173,7 +173,10 @@ def outcome(f, *args):
 
 
 def test_orbit_classes_are_the_adjusted_orbit_classes():
+    # m_1, m_2 come from _level2_classes and the rest from the integer walk;
+    # both are checked against the Fraction orbit, zeros included
     grid = rationals_of_height(5)
+    seen = Counter()
     for c in grid:
         for beta in grid:
             terms = (c.numerator, c.denominator, beta.numerator, beta.denominator)
@@ -184,6 +187,8 @@ def test_orbit_classes_are_the_adjusted_orbit_classes():
                 assert (m == 0) == (v == 0)
                 assert (m > 0) == (v > 0) and (m < 0) == (v < 0)
                 assert is_square_int(m * v.numerator * v.denominator)
+                seen["zero" if m == 0 else "value"] += 1
+    assert seen == {"value": 15210 - 71, "zero": 71}
 
 
 def reference_ab_dimension(pair, N):
