@@ -1,6 +1,13 @@
 """Hyperelliptic curves attached to progressions of orbit indices, at desk
 scale: right-hand-side evaluation, the square-product point construction,
-and naive bounded-height rational point search.
+and bounded-height rational point search.
+
+The point search sieves its candidates by quadratic characters, as M.
+Stoll's `ratpoints` does ("Rational points on curves", J. Theor. Nombres
+Bordeaux 23, 2011): modulo each odd prime q < _SIEVE_BOUND at which a, c
+and beta are q-integral, a q-byte table marks the residues u of x - a at
+which the right-hand side is a nonzero non-residue, and an x that lands on
+a marked residue is dropped before its exact value is formed.
 """
 
 from __future__ import annotations
@@ -12,17 +19,21 @@ from typing import Iterator, List, Optional, Tuple
 
 from .dynamics import QuadPair, _check_depth, _first_hit, _in_critical_orbit, _orbit_prefix, adjusted_orbit
 from .indexsets import IndexVector, is_progression
-from .primes import BudgetExceeded
-from .squares import sqrt_exact
+from .polys import reduce_mod
+from .primes import BudgetExceeded, odd_primes
+from .squares import _nonresidue_table, sqrt_exact
 
 # Largest total right-hand-side degree over the x of one point search, the
 # size of its exact work: `curve 1/3,2 --k 17 --search 2` (7 values of degree
 # 2^18) stays within it, `--search 8` (about 80 such values) does not.
 _SEARCH_DEGREE_CAP = 2**21
-# Least degree charged for one x: each x costs about 10 us of Fraction
-# arithmetic and square testing whatever its degree, as much as about 330
-# degree units of evaluation (0.031 us each at degrees 2^12 to 2^14).
+# Least degree charged for one x.  It was set when every x cost about 10 us
+# of Fraction arithmetic and square testing; the residue sieve now drops most
+# x for about 1 us of table lookups, but the charge and the cap still count
+# every candidate, so the same searches are refused as before.
 _SEARCH_X_DEGREE = 2**8
+# The point search sieves by the odd primes below this bound.
+_SIEVE_BOUND = 64
 
 
 @dataclass(frozen=True)
@@ -183,15 +194,54 @@ def _grid_size(H: int) -> int:
     return 4 * phi_sum(H) - 1 if H else 1
 
 
+def _sieve_tables(curve: CurveSpec) -> List[Tuple[int, int, bytes]]:
+    """(q, a mod q, table) for each odd prime q < _SIEVE_BOUND at which a, c
+    and beta are q-integral, where table[u] is 1 exactly when
+    prod_j (g^(k*j + i0)(u) - beta) is a nonzero non-residue mod q.  A prime
+    whose table marks no residue is left out, so a right-hand side that is
+    a square polynomial keeps no prime.
+    """
+    c, beta = curve.pair.normal_form()
+    a = curve.pair.a
+    exponents = set(curve.exponents)
+    tables = []
+    for q in odd_primes(_SIEVE_BOUND):
+        a_mod, c_mod, beta_mod = (reduce_mod(v.numerator, v.denominator, q) for v in (a, c, beta))
+        if a_mod is None or c_mod is None or beta_mod is None:
+            continue
+        step = [(z * z + c_mod) % q for z in range(q)]
+        zs, prods = range(q), [1] * q
+        for m in range(1, max(exponents) + 1):
+            zs = [step[z] for z in zs]
+            if m in exponents:
+                prods = [r * (z - beta_mod) % q for r, z in zip(prods, zs)]
+        nonresidue = _nonresidue_table(q)
+        table = bytes(nonresidue[r] for r in prods)
+        if any(table):
+            tables.append((q, a_mod, table))
+    return tables
+
+
 def naive_point_search(curve: CurveSpec, H: int) -> List[Tuple[Fraction, Fraction]]:
-    """All rational points with x = p/q in lowest terms, |p| <= H, q <= H.
+    """All rational points with x = p/d in lowest terms, |p| <= H, d <= H.
 
     Enumerates Farey-style lowest-term fractions (so each x appears once),
     tests the right-hand side for exact squareness, and returns points sorted
     by (x, y), including both square roots when y != 0.  Before any value is
     formed, a top exponent above MAX_ORBIT_N is a ValueError, and a search
     whose x count times the right-hand side's degree, charged at least
-    _SEARCH_X_DEGREE per x, exceeds _SEARCH_DEGREE_CAP raises BudgetExceeded.
+    _SEARCH_X_DEGREE per x, exceeds _SEARCH_DEGREE_CAP raises BudgetExceeded;
+    the count is of every candidate x, sieved or not.
+
+    Each x first passes the residue sieve of `ratpoints` (module docstring):
+    modulo each odd prime q < _SIEVE_BOUND at which a, c and beta are
+    q-integral, and that does not divide d, x - a reduces to
+    u = p * d^-1 - a mod q, and x is dropped at the first q whose table
+    marks u.  This is sound: when q divides none of den(x), den(a), den(c)
+    and den(beta), the right-hand side is q-integral and reduces to the
+    table's value at u, and a rational that is a nonzero non-residue mod q
+    is not a square.  The x that survive take the exact route, so the
+    points are the same as without the sieve.
     """
     if H < 0:
         raise ValueError("H must be nonnegative")
@@ -208,9 +258,16 @@ def naive_point_search(curve: CurveSpec, H: int) -> List[Tuple[Fraction, Fractio
             (limit + 1) * charge,
             _SEARCH_DEGREE_CAP,
         )
+    tables = _sieve_tables(curve)
     points: List[Tuple[Fraction, Fraction]] = []
-    for p, q in _lowest_terms(H):
-        x = Fraction(p, q)
+    sieve_d, sieve = 0, []
+    for p, d in _lowest_terms(H):
+        if d != sieve_d:  # _lowest_terms yields one denominator at a time
+            sieve_d = d
+            sieve = [(q, pow(d, -1, q), a_mod, table) for q, a_mod, table in tables if d % q]
+        if any(table[(p * inverse - a_mod) % q] for q, inverse, a_mod, table in sieve):
+            continue
+        x = Fraction(p, d)
         val = rhs_eval(curve, x)
         if val < 0:
             continue

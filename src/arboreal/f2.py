@@ -5,14 +5,15 @@ Labels carry a fixed total order
     SIGN < Prime(2) < Prime(3) < ... < Base(...) < Index(1) < Index(2) < ...
 
 and the package's one elimination kernel is an echelon of int bitmasks
-keyed by their top bit (_insert).  rank and in_span give each label of a
-call the bit of its place in that order (never of its value, so a label
-of 10^10 costs one bit), the smallest label the top bit, so elimination
-pivots on the smallest label of a support and every result is
-deterministic for any input order.  Its three users are index vectors
-(labels: positive integers), the gcd-free fallback for square classes
-(labels: sign marker and primes, or opaque coprime-base elements), and the
-span sketch of squares._span_rank, whose bits are the span's values.
+keyed by their top bit (_insert).  rank, in_span and span_certificates
+give each label of a call the bit of its place in that order (never of
+its value, so a label of 10^10 costs one bit), the smallest label the top
+bit, so elimination pivots on the smallest label of a support and every
+result is deterministic for any input order.  Its three users are index
+vectors (labels: positive integers), the gcd-free fallback for square
+classes (labels: sign marker and primes, or opaque coprime-base elements),
+and the span sketch of squares._span_rank, whose bits are the span's
+values.
 """
 
 from __future__ import annotations
@@ -137,6 +138,31 @@ def rank(vectors: Sequence[F2Vector]) -> int:
     return sum(_insert(rows, mask) for mask in _masks(vectors))
 
 
+def span_certificates(targets: Sequence[F2Vector], vectors: Sequence[F2Vector]) -> List[Optional[tuple]]:
+    """in_span's certificate for each target, from one echelon of `vectors`.
+
+    The bits run over the labels of the vectors and all targets; a label
+    that only a target carries heads no row and leaves the vectors' labels
+    in their order, so each certificate is the one in_span gives alone.
+    """
+    masks = _masks([*vectors, *targets])
+    n = len(vectors)
+    rows: Dict[int, int] = {}
+    # the low n bits of a row name the inputs that sum to it
+    for i, mask in enumerate(masks[:n]):
+        _insert(rows, mask << n | 1 << i)
+    certificates: List[Optional[tuple]] = []
+    for target in masks[n:]:
+        target <<= n
+        while target >> n:
+            row = rows.get(target.bit_length())
+            if row is None:
+                break
+            target ^= row
+        certificates.append(None if target >> n else tuple(i for i in range(n) if target >> i & 1))
+    return certificates
+
+
 def in_span(v: F2Vector, vectors: Sequence[F2Vector]) -> Optional[tuple]:
     """Certificate that v lies in the span of `vectors`, or None.
 
@@ -144,16 +170,4 @@ def in_span(v: F2Vector, vectors: Sequence[F2Vector]) -> Optional[tuple]:
     exactly v; the zero vector yields the empty tuple.  Check membership with
     `is not None` (the empty certificate is falsy).
     """
-    *masks, target = _masks([*vectors, v])
-    n = len(masks)
-    rows: Dict[int, int] = {}
-    # the low n bits of a row name the inputs that sum to it
-    for i, mask in enumerate(masks):
-        _insert(rows, mask << n | 1 << i)
-    target <<= n
-    while target >> n:
-        row = rows.get(target.bit_length())
-        if row is None:
-            return None
-        target ^= row
-    return tuple(i for i in range(n) if target >> i & 1)
+    return span_certificates([v], vectors)[0]

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .f2 import F2Vector, in_span, index_label
+from .f2 import F2Vector, index_label, span_certificates
 from .primes import sieve
 
 MAX_BERTRAND_TERM = 5 * 10**4  # largest Bertrand term: `bertrand --upto 50000 --check-coprime` takes about 2.5 s
@@ -162,14 +162,14 @@ def progressing_witness(
     offenders = tuple(
         i for i, m in enumerate(family.members) if not is_progression(m, k, length)
     )
-    span_results = []
-    if span_targets:
-        basis = [m.to_f2() for m in family.members]
-        for target in span_targets:
-            cert = in_span(target.to_f2(), basis)
-            span_results.append(
-                (cert is not None, cert, is_progression(target, k, length))
-            )
+    # one echelon of the family reduces every target
+    certificates = span_certificates(
+        [target.to_f2() for target in span_targets], [m.to_f2() for m in family.members]
+    ) if span_targets else []
+    span_results = [
+        (cert is not None, cert, is_progression(target, k, length))
+        for target, cert in zip(span_targets, certificates)
+    ]
     ok = not offenders and all(inside and prog for inside, _, prog in span_results)
     return ProgressingReport(ok, offenders, tuple(span_results))
 

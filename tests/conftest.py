@@ -8,9 +8,10 @@ from fractions import Fraction
 
 from hypothesis import settings
 
+from arboreal.curves import _lowest_terms, rhs_eval
 from arboreal.dynamics import QuadPair
 from arboreal.f2 import rank
-from arboreal.squares import square_class
+from arboreal.squares import sqrt_exact, square_class
 
 settings.register_profile("repro", derandomize=True, database=None, deadline=None, max_examples=100)
 settings.load_profile("repro")
@@ -22,6 +23,20 @@ def factor_span_dimension(values):
     gcd-free basis is the other): the rank of the square classes, which
     raises BudgetExceeded when factoring runs out."""
     return rank([square_class(v).to_vector() for v in values])
+
+
+def unsieved_point_search(curve, H):
+    """The point search without its residue sieve or its work cap, kept as a
+    test oracle for naive_point_search: every lowest-terms x of height <= H
+    takes the exact route, rhs_eval then sqrt_exact."""
+    points = []
+    for p, d in _lowest_terms(H):
+        x = Fraction(p, d)
+        val = rhs_eval(curve, x)
+        y = sqrt_exact(val) if val >= 0 else None
+        if y is not None:
+            points += [(x, y), (x, -y)] if y else [(x, y)]
+    return sorted(points)
 
 
 def reference_orbit(pair, N):

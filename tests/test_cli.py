@@ -918,6 +918,24 @@ RESULT_PINS = [
         id="curve-search-0",
     ),
     pytest.param(
+        # the residue sieve keeps every point: 10 on a normal form
+        ["curve", "-2,0", "--l", "2", "--search", "30"],
+        "38001f55f1d095166c0db8f11bde598a65ccec6dc7d37d172ac98ae1938f8843",
+        id="curve-sieved-search",
+    ),
+    pytest.param(
+        # and 6 on a general form (a != 0)
+        ["curve", "1/2,1,0", "--search", "20"],
+        "61b4367b30888be53bbc5d3d643fb86c473f271573b07331c0e53aff7a9a1694",
+        id="curve-sieved-general-form",
+    ),
+    pytest.param(
+        # 7 values of degree 2^18, all dropped before any is formed
+        ["curve", "1/3,2", "--k", "17", "--search", "2"],
+        "8d1f7fde6fa71f02b2319dc03c26ead1184e1b2e0719c9166de571021b8d1afd",
+        id="curve-sieved-deep",
+    ),
+    pytest.param(
         # the survey's height-0 grid is {0}
         ["survey", "--c-height", "0", "--alpha-height", "0"],
         "c777bce0ce350c9ef044fd108e23d10f5c198d5f0a99f1b674f502a4bef38530",

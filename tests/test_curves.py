@@ -1,16 +1,18 @@
 import random
 import time
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 
 import pytest
-from conftest import general_pairs, reference_orbit
+from conftest import general_pairs, reference_orbit, unsieved_point_search
 
+from arboreal import curves
 from arboreal.curves import (
     _SEARCH_DEGREE_CAP,
     _SEARCH_X_DEGREE,
     CurveSpec,
     _lowest_terms,
+    _sieve_tables,
     construct_point,
     is_smooth,
     naive_point_search,
@@ -132,6 +134,89 @@ def test_benchmark_curve_searches_stay_within_the_charged_cap():
     for l in (1, 2):
         charge = max(CurveSpec(QuadPair.from_normal(0, 1), 1, l, 1).rhs_degree, _SEARCH_X_DEGREE)
         assert len(list(_lowest_terms(25))) * charge < _SEARCH_DEGREE_CAP // 10
+
+
+def test_sieved_search_matches_the_unsieved_loop_on_benchmark_shaped_curves():
+    # k = i0 = 1, l <= 2 and heights 15 to 25 over height-9 pairs, as the
+    # benchmark's oracle curves are
+    rng = random.Random(31)
+    grid = rationals_of_height(9)
+    found = 0
+    for _ in range(12):
+        curve = CurveSpec(QuadPair.from_normal(rng.choice(grid), rng.choice(grid)), 1, rng.choice((1, 2)), 1)
+        H = rng.randint(15, 25)
+        points = naive_point_search(curve, H)
+        assert points == unsieved_point_search(curve, H)
+        found += len(points)
+    assert found
+
+
+def test_sieved_search_matches_the_unsieved_loop_on_small_curves():
+    # every k, l <= 3 and i0 in {1, 2} over the normal-form pairs of height
+    # <= 3, at height 3: at most 15 values of x of degree <= 2336
+    grid = rationals_of_height(3)
+    found = 0
+    for c, beta in product(grid, repeat=2):
+        pair = QuadPair.from_normal(c, beta)
+        for k, l, i0 in product((1, 2, 3), (1, 2, 3), (1, 2)):
+            curve = CurveSpec(pair, k, l, i0)
+            points = naive_point_search(curve, 3)
+            assert points == unsieved_point_search(curve, 3)
+            found += len(points)
+    assert found
+
+
+def test_sieved_search_matches_the_unsieved_loop_on_general_forms():
+    for pair in general_pairs(31, 24):
+        assert pair.a
+        for k, l, i0 in ((1, 1, 1), (1, 2, 1), (2, 1, 2)):
+            curve = CurveSpec(pair, k, l, i0)
+            assert naive_point_search(curve, 8) == unsieved_point_search(curve, 8)
+
+
+@pytest.mark.parametrize(
+    "pair, skipped",
+    [
+        (QuadPair.from_normal(F(1, 3), 2), 3),  # 3 divides den(c)
+        (QuadPair.from_normal(-2, F(1, 5)), 5),  # 5 divides den(beta)
+        (QuadPair(F(1, 7), F(6, 7), F(15, 7)), 7),  # den(a) = 7, normal form (-1, 2)
+    ],
+)
+def test_sieve_skips_a_prime_of_the_pairs_denominators(pair, skipped):
+    for k, l, i0 in ((1, 1, 1), (1, 2, 1), (2, 2, 1)):
+        curve = CurveSpec(pair, k, l, i0)
+        primes = [q for q, _, _ in _sieve_tables(curve)]
+        assert skipped not in primes and primes
+        assert naive_point_search(curve, 12) == unsieved_point_search(curve, 12)
+
+
+def _counting_rhs_eval(monkeypatch):
+    calls = []
+
+    def counted(curve, x):
+        calls.append(x)
+        return rhs_eval(curve, x)
+
+    monkeypatch.setattr(curves, "rhs_eval", counted)
+    return calls
+
+
+def test_square_polynomial_right_hand_side_keeps_every_x(monkeypatch):
+    # f = (x - 1/2)^2 + 1, alpha = 1: f^2(x) - 1 = ((x - 1/2)^2 + 1/2)^2
+    curve = CurveSpec(QuadPair.parse("1/2,-1,1"), 1, 1, 1)
+    assert _sieve_tables(curve) == []
+    calls = _counting_rhs_eval(monkeypatch)
+    points = naive_point_search(curve, 5)
+    assert len(calls) == len(list(_lowest_terms(5))) == len(points) // 2
+    assert points == unsieved_point_search(curve, 5)
+
+
+def test_sieve_drops_most_x_before_the_exact_value(monkeypatch):
+    curve = CurveSpec(QuadPair.parse("3/4,5"), 1, 2, 1)
+    calls = _counting_rhs_eval(monkeypatch)
+    points = naive_point_search(curve, 25)
+    assert len(calls) < 0.05 * len(list(_lowest_terms(25)))
+    assert points == unsieved_point_search(curve, 25)
 
 
 def test_smoothness_flag():

@@ -12,6 +12,7 @@ from arboreal.f2 import (
     index_label,
     prime_label,
     rank,
+    span_certificates,
 )
 
 
@@ -148,3 +149,19 @@ def test_kernel_matches_the_subset_span(seed):
                 for i in cert:
                     total = total + vs[i]
                 assert total == t
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_span_certificates_match_in_span_per_target(seed):
+    # the targets' own labels join one bit order for all of them, and each
+    # certificate is still the one in_span gives for its target alone
+    rng = random.Random(seed)
+    for _ in range(100):
+        vs, draw = _draw_family(rng)
+        targets = [draw() for _ in range(rng.randint(0, 8))]
+        for _ in range(rng.randint(0, 4)):
+            total = ZERO
+            for v in rng.sample(vs, rng.randint(0, len(vs))):
+                total = total + v
+            targets.insert(rng.randrange(len(targets) + 1), total)
+        assert span_certificates(targets, vs) == [in_span(t, vs) for t in targets]
