@@ -46,7 +46,6 @@ from .squares import (
     QuadElement,
     SquareClass,
     all_valuations_even,
-    coprime_base,
     is_perfect_square,
     is_square_in_quad,
     quad_independent,

@@ -18,7 +18,7 @@ from itertools import islice
 from typing import Iterator, List, Optional, Tuple, Union
 
 from .primes import is_probable_prime, smallest_prime_factor
-from .squares import _divide_out, _frac
+from .squares import _frac
 
 Rational = Union[int, Fraction]
 
@@ -289,6 +289,25 @@ def is_exceptional(pair: QuadPair) -> bool:
     """
     c, beta = pair.normal_form()
     return c == 0 and beta == 0
+
+
+def _divide_out(n: int, g: int) -> Tuple[int, int]:
+    """(m, e) with n = g^e * m and g not dividing m, for g > 1.
+
+    Divides by g, g^2, g^4, ... and then back down, so a huge power of g
+    costs O(log e) divisions instead of e.
+    """
+    powers = []
+    while n % g == 0:
+        n //= g
+        powers.append(g)
+        g *= g
+    e = (1 << len(powers)) - 1
+    for i in reversed(range(len(powers))):
+        if n % powers[i] == 0:
+            n //= powers[i]
+            e += 1 << i
+    return n, e
 
 
 def _valuation(q: Fraction, p: int) -> int:

@@ -9,11 +9,10 @@ keyed by their top bit (_insert).  rank, in_span and span_certificates
 give each label of a call the bit of its place in that order (never of
 its value, so a label of 10^10 costs one bit), the smallest label the top
 bit, so elimination pivots on the smallest label of a support and every
-result is deterministic for any input order.  Its three users are index
-vectors (labels: positive integers), the gcd-free fallback for square
-classes (labels: sign marker and primes, or opaque coprime-base elements),
-and the span sketch of squares._span_rank, whose bits are the span's
-values.
+result is deterministic for any input order.  Its users are index
+vectors (labels: positive integers) and the span sketch of
+squares._span_rank, whose bits are the span's values; square classes
+carry the sign marker and prime labels for display.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Square classes of rationals, coprime bases, and squares in Q(sqrt(d)).
+"""Square classes of rationals, span dimensions, and squares in Q(sqrt(d)).
 
 The image of a nonzero rational in Q*/Q*^2 is recorded as a sign together
 with the square-free prime support.  Span dimensions are decided by
@@ -8,12 +8,12 @@ so their common kernel holds every relation (a subset whose product is a
 square), and once an exact square test passes on each vector of a basis of
 that kernel, the two are equal (L. M. Adleman, "Factoring numbers using
 singular integers", STOC 1991).  Spans are taken of integers in the
-values' classes (_span_rank), each Legendre symbol is read from a
-per-prime table of non-residues built on first use, and the characters are
-kept in f2's bitmask echelon.  A gcd-free (pairwise coprime) basis, which
-never factors either, is the fallback when the fixed list of primes runs
-out, and the test oracle.  Prime factorization (square_class) runs only
-where the output is itself a factorization, the square-class display; no
+values' classes (_span_rank), each Legendre symbol at a prime below
+_CHARACTER_BOUND is read from a per-prime table of non-residues built on
+first use, and past it by Euler's criterion, and the characters are kept
+in f2's bitmask echelon.  The primes never run out, so that one route
+decides every span.  Prime factorization (square_class) runs only where
+the output is itself a factorization, the square-class display; no
 decision calls it.  Squareness in a quadratic field Q(sqrt(d)), for any
 integer d that is not a square, reduces to rational square tests on the
 norm.
@@ -26,14 +26,15 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from itertools import chain
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
-from .f2 import SIGN, F2Vector, _insert, _restrict, base_label, prime_label, rank
-from .primes import DEFAULT_BUDGET, factorize, odd_primes
+from .f2 import SIGN, F2Vector, _insert, _restrict, prime_label
+from .primes import DEFAULT_BUDGET, factorize, odd_primes, primes_from
 
 Rational = Union[int, Fraction]
 
-_CHARACTER_BOUND = 256  # quadratic characters come from the odd primes below it
+_CHARACTER_BOUND = 256  # characters of the odd primes below it are table lookups
 _STALL = 3  # characters in a row that leave the kernel unchanged before it is tested exactly
 
 
@@ -129,70 +130,6 @@ def all_valuations_even(q: Rational) -> bool:
     return sqrt_exact(abs(q)) is not None
 
 
-def _divide_out(n: int, g: int) -> Tuple[int, int]:
-    """(m, e) with n = g^e * m and g not dividing m, for g > 1.
-
-    Divides by g, g^2, g^4, ... and then back down, so a huge power of g
-    costs O(log e) divisions instead of e.
-    """
-    powers = []
-    while n % g == 0:
-        n //= g
-        powers.append(g)
-        g *= g
-    e = (1 << len(powers)) - 1
-    for i in reversed(range(len(powers))):
-        if n % powers[i] == 0:
-            n //= powers[i]
-            e += 1 << i
-    return n, e
-
-
-def coprime_base(values: Sequence[int]) -> Tuple[List[int], List[F2Vector]]:
-    """GCD-free basis of the inputs plus per-value GF(2) exponent vectors.
-
-    Each value equals +- a square times the product of base elements whose
-    label appears in its vector.  Base elements are pairwise coprime integers
-    > 1 (not necessarily prime, not necessarily square-free); base elements
-    that are perfect squares contribute no label.
-    """
-    for v in values:
-        if v == 0:
-            raise ValueError("values must be nonzero")
-    base: List[int] = []
-    for v in values:
-        stack = [abs(v)]
-        while stack:
-            n = stack.pop()
-            if n == 1:
-                continue
-            for i, b in enumerate(base):
-                g = math.gcd(n, b)
-                if g > 1:
-                    # Replacing (n, b) by g and the parts of n and b free of
-                    # g keeps the generated multiplicative group and divides
-                    # the product by at least g.
-                    del base[i]
-                    stack.extend((g, _divide_out(b, g)[0], _divide_out(n, g)[0]))
-                    break
-            else:
-                base.append(n)
-    base.sort()
-    is_square = {b: is_square_int(b) for b in base}
-    vectors = []
-    for v in values:
-        n = abs(v)
-        labels = [SIGN] if v < 0 else []
-        for b in base:
-            n, e = _divide_out(n, b)
-            if e % 2 and not is_square[b]:
-                labels.append(base_label(b))
-        if n != 1:
-            raise AssertionError("coprime base does not span input %d" % v)
-        vectors.append(F2Vector.from_labels(labels))
-    return base, vectors
-
-
 def _nonresidue_table(q: int) -> bytes:
     """q bytes, the r-th 1 exactly when r is a quadratic non-residue mod the
     odd prime q (0 for r = 0 and for the squares)."""
@@ -245,21 +182,42 @@ def _square_product(ms: Sequence[int]) -> bool:
     return is_square_int(math.prod(ms))
 
 
+def _extension_masks(ms: Sequence[int]) -> Iterator[int]:
+    """_character_masks past the list: for each prime q >= _CHARACTER_BOUND
+    that divides no m, the bitmask of the ms whose Legendre symbol at q is
+    -1, read by Euler's criterion."""
+    for q in primes_from(_CHARACTER_BOUND):
+        mask = 0
+        for m in reversed(ms):
+            r = m % q
+            if not r:
+                break
+            mask = mask << 1 | (pow(r, q >> 1, q) == q - 1)
+        else:
+            yield mask
+
+
 def _span_rank(ms: Sequence[int]) -> int:
     """dim of the span of the nonzero integers ms in Q*/Q*^2, without
     factoring.
 
     The relations among the ms (the subsets whose product is a square) lie
     in the kernel of every quadratic character: the sign, and the Legendre
-    symbol at each odd prime below _CHARACTER_BOUND that divides no m.  The
-    characters are read one at a time, each as the bitmask of the ms on
-    which it is -1, into f2's bitmask echelon (_insert), whose size is the
-    rank of the characters read so far, that is len(ms) minus the dimension
-    of their common kernel.  Once that rank is len(ms), or has stayed as it
-    was for _STALL primes in a row and each vector of a basis of the kernel
-    (from _restrict) passes _square_product, the kernel is exactly the space
-    of relations, and the dimension is that rank.  Only when the primes run
-    out is the rank read off a gcd-free basis (coprime_base).
+    symbol at each odd prime that divides no m, first those below
+    _CHARACTER_BOUND and then the primes past it.  The characters are read
+    one at a time, each as the bitmask of the ms on which it is -1, into
+    f2's bitmask echelon (_insert), whose size is the rank of the characters
+    read so far, that is len(ms) minus the dimension of their common kernel.
+    Once that rank is len(ms), or has stayed as it was for _STALL primes in a
+    row and each vector of a basis of the kernel (from _restrict) passes
+    _square_product, the kernel is exactly the space of relations, and the
+    dimension is that rank.  The route is total: a positive m that is not a
+    square has infinitely many primes q with (m/q) = -1, so every kernel
+    vector that is not a relation is cut after finitely many primes, and
+    under GRH the first such q is about 2*log(4*m)^2 (E. Bach, "Explicit
+    bounds for primality testing and related problems", Math. Comp. 55,
+    1990).  The primes past the list are read only when those
+    below it leave the kernel unverified.
     """
     if 0 in ms:
         raise ValueError("values must be nonzero")
@@ -269,7 +227,7 @@ def _span_rank(ms: Sequence[int]) -> int:
     _insert(rows, masks[0])
     modulus = _characters()[1]
     unchanged = 0
-    for mask in _character_masks([m % modulus for m in ms]):
+    for mask in chain(_character_masks([m % modulus for m in ms]), _extension_masks(ms)):
         masks.append(mask)
         unchanged = 0 if _insert(rows, mask) else unchanged + 1
         if len(rows) == n:
@@ -278,13 +236,13 @@ def _span_rank(ms: Sequence[int]) -> int:
             kernel = reduce(_restrict, masks, [1 << i for i in range(n)])
             if all(_square_product([m for i, m in enumerate(ms) if b >> i & 1]) for b in kernel):
                 return len(rows)
-    return rank(coprime_base(list(ms))[1])
 
 
 def span_dimension(values: Sequence[Rational]) -> int:
     """dim of the span of the (nonzero) values in Q*/Q*^2, without factoring:
     _span_rank of m = numerator*denominator, which has the value's square
-    class."""
+    class.  The route is total on quadratic characters and an exact square
+    test, so no budget applies (see _span_rank for Bach's bound)."""
     return _span_rank([v.numerator * v.denominator for v in map(_frac, values)])
 
 

@@ -3,15 +3,16 @@
 tests neither flake on a slow or loaded machine nor vary between runs, and
 the reference oracles that several test files share."""
 
+import math
 import random
 from fractions import Fraction
 
 from hypothesis import settings
 
 from arboreal.curves import _lowest_terms, rhs_eval
-from arboreal.dynamics import QuadPair
-from arboreal.f2 import rank
-from arboreal.squares import sqrt_exact, square_class
+from arboreal.dynamics import QuadPair, _divide_out
+from arboreal.f2 import SIGN, F2Vector, base_label, rank
+from arboreal.squares import is_square_int, sqrt_exact, square_class
 
 settings.register_profile("repro", derandomize=True, database=None, deadline=None, max_examples=100)
 settings.load_profile("repro")
@@ -23,6 +24,55 @@ def factor_span_dimension(values):
     gcd-free basis is the other): the rank of the square classes, which
     raises BudgetExceeded when factoring runs out."""
     return rank([square_class(v).to_vector() for v in values])
+
+
+def coprime_base(values):
+    """The gcd route to a span dimension, kept as a test oracle for
+    span_dimension: a gcd-free basis of the nonzero integers values plus
+    per-value GF(2) exponent vectors, so that rank(coprime_base(ms)[1]) is
+    the dimension of their span in Q*/Q*^2 (D. J. Bernstein, "Factoring
+    into coprimes in essentially linear time", J. Algorithms 54, 2005).
+
+    Each value equals +- a square times the product of base elements whose
+    label appears in its vector.  Base elements are pairwise coprime
+    integers > 1 (not necessarily prime, not necessarily square-free); base
+    elements that are perfect squares contribute no label.
+    """
+    for v in values:
+        if v == 0:
+            raise ValueError("values must be nonzero")
+    base = []
+    for v in values:
+        stack = [abs(v)]
+        while stack:
+            n = stack.pop()
+            if n == 1:
+                continue
+            for i, b in enumerate(base):
+                g = math.gcd(n, b)
+                if g > 1:
+                    # Replacing (n, b) by g and the parts of n and b free of
+                    # g keeps the generated multiplicative group and divides
+                    # the product by at least g.
+                    del base[i]
+                    stack.extend((g, _divide_out(b, g)[0], _divide_out(n, g)[0]))
+                    break
+            else:
+                base.append(n)
+    base.sort()
+    is_square = {b: is_square_int(b) for b in base}
+    vectors = []
+    for v in values:
+        n = abs(v)
+        labels = [SIGN] if v < 0 else []
+        for b in base:
+            n, e = _divide_out(n, b)
+            if e % 2 and not is_square[b]:
+                labels.append(base_label(b))
+        if n != 1:
+            raise AssertionError("coprime base does not span input %d" % v)
+        vectors.append(F2Vector.from_labels(labels))
+    return base, vectors
 
 
 def unsieved_point_search(curve, H):

